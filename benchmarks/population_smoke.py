@@ -7,8 +7,7 @@ Four gates over the virtual-population plane (see docs/population.md):
    client memory is O(active), never O(population).
 2. **Determinism under churn** — a 3-round run with availability churn,
    mid-round dropout, and speed spread is bitwise identical between the
-   serial and thread backends in sync mode (the process backend is
-   covered by ``tests/fl/test_population_session.py``).
+   serial and process backends in sync mode.
 3. **Async sanity** — buffered (FedBuff-style) aggregation diverges
    from sync (it reweights by simulated staleness) but stays finite,
    with a final loss in the same regime as the sync run's.
@@ -97,24 +96,25 @@ def run_churned(dataset, factory, backend, aggregation="sync"):
     state = {name: np.asarray(value).copy()
              for name, value in session.global_state.items()}
     records = [record.to_json() for record in session.round_records]
+    session.close()
     population.close()
     return state, records
 
 
 def check_churn_determinism(dataset, factory):
     serial_state, serial_records = run_churned(dataset, factory, "serial")
-    thread_state, thread_records = run_churned(dataset, factory, "thread")
+    process_state, process_records = run_churned(dataset, factory, "process")
     for name in serial_state:
-        if not np.array_equal(serial_state[name], thread_state[name]):
+        if not np.array_equal(serial_state[name], process_state[name]):
             fail(f"churn determinism: global state '{name}' differs "
-                 f"between serial and thread backends")
+                 f"between serial and process backends")
     if json.dumps(serial_records, sort_keys=True) != \
-            json.dumps(thread_records, sort_keys=True):
+            json.dumps(process_records, sort_keys=True):
         fail("churn determinism: round records differ between backends")
     if not any(record["metrics"].get("dropouts") for record in serial_records):
         fail("churn determinism: no round recorded a dropout under "
              f"dropout={CHURN.dropout} (availability model inactive?)")
-    print(f"OK: churned 3-round run bitwise identical serial==thread "
+    print(f"OK: churned 3-round run bitwise identical serial==process "
           f"(participants {[r['participant_ids'] for r in serial_records]})")
     return serial_state, serial_records
 

@@ -1,6 +1,6 @@
 """DET — bitwise-determinism hazards.
 
-The execution backends' contract (serial == thread == process, bitwise)
+The execution backends' contract (serial == process, bitwise)
 holds only if every random draw is a pure function of (seed, streams) and
 nothing observable depends on ambient state.  Three rules:
 

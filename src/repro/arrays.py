@@ -21,9 +21,7 @@ Files are written via :func:`repro.ioutil.atomic_write_bytes` (the same
 write-then-``os.replace`` discipline as every persisted artifact in this
 repo), so on-disk containers are all-or-nothing.  The in-memory pair
 :func:`pack_columns` / :func:`unpack_columns` is the same format without
-the filesystem — the process execution backend ships per-client
-algorithm state as one packed buffer instead of a pickled tree of
-ndarrays (see ``repro.fl.session.codec.PackedState``).
+the filesystem; checkpoint sidecars are built with it.
 
 This module is the sanctioned array-persistence primitive (invariant
 ARR001 in docs/invariants.md): persistence-layer code stores arrays

@@ -96,6 +96,11 @@ SWEEP_EXPERIMENTS = ("table1", "fig3", "fig4") + EMBEDDING_FIGURES
 FIGURE_CHOICES = tuple(sorted(EMBEDDING_FIGURES + ("fig3", "fig4")))
 
 
+class _UsageError(Exception):
+    """A flag value the config or spec validation rejected; :func:`main`
+    prints it as one stderr line and exits 2."""
+
+
 def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
     """Population-plane knobs (availability churn + async aggregation).
 
@@ -472,22 +477,25 @@ def _command_run(args) -> int:
         print(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}",
               file=sys.stderr)
         return 2
-    config = SCALED_CONFIG.with_overrides(
-        rounds=args.rounds, num_clients=args.clients,
-        clients_per_round=min(SCALED_CONFIG.clients_per_round, args.clients),
-        seed=args.seed, backend=args.backend, workers=args.workers,
-        shared_memory={"auto": None, "on": True, "off": False}[args.shared_memory],
-        client_batch=args.client_batch,
-        **_population_overrides(args),
-    )
-    spec = scaled_spec(
-        args.dataset,
-        NonIIDSetting(args.setting, args.param, args.samples),
-        args.method,
-        seed=args.seed,
-        config=config,
-        name=f"{args.dataset} {args.setting}({args.param}, {args.samples})",
-    )
+    try:
+        config = SCALED_CONFIG.with_overrides(
+            rounds=args.rounds, num_clients=args.clients,
+            clients_per_round=min(SCALED_CONFIG.clients_per_round, args.clients),
+            seed=args.seed, backend=args.backend, workers=args.workers,
+            shared_memory={"auto": None, "on": True, "off": False}[args.shared_memory],
+            client_batch=args.client_batch,
+            **_population_overrides(args),
+        )
+        spec = scaled_spec(
+            args.dataset,
+            NonIIDSetting(args.setting, args.param, args.samples),
+            args.method,
+            seed=args.seed,
+            config=config,
+            name=f"{args.dataset} {args.setting}({args.param}, {args.samples})",
+        )
+    except ValueError as error:
+        raise _UsageError(error) from error
     # With --trace-out, an ambient tracer spans the entire run: every
     # method's session, worker fragments included, lands on one timeline.
     tracer = Tracer() if args.trace_out else None
@@ -523,6 +531,13 @@ def _command_run(args) -> int:
 
 def _build_sweep(args, experiment: Optional[str] = None):
     """Build the (deterministic) sweep grid described by CLI flags."""
+    try:
+        return _sweep_grid(args, experiment)
+    except ValueError as error:
+        raise _UsageError(error) from error
+
+
+def _sweep_grid(args, experiment: Optional[str]):
     experiment = experiment if experiment is not None else args.exp
     if args.methods:
         unknown = [m for m in args.methods if m not in available_methods()]
@@ -887,6 +902,14 @@ def _command_profile(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         return _command_list()
     if args.command == "check":

@@ -26,7 +26,6 @@ from .execution import (
     ExecutionError,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     derive_client_rng,
     resolve_backend,
@@ -45,7 +44,6 @@ from .population import (
     VirtualPopulation,
 )
 from .sampler import RandomSampler, RoundRobinSampler
-from .server import FederatedServer
 from .session import (
     EarlyStopping,
     EvalCadence,
@@ -75,7 +73,6 @@ __all__ = [
     "ClientUpdate",
     "FederatedAlgorithm",
     "UpdateAccumulator",
-    "FederatedServer",
     "TrainingSession",
     "ServerState",
     "SessionCallback",
@@ -88,7 +85,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutionError",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BACKENDS",
     "available_backends",

@@ -55,8 +55,8 @@ class UpdateAccumulator:
 
     The final combine runs over updates reordered into *input* (dispatch)
     order, never completion order: floating-point reduction is
-    order-sensitive, and reordering is what keeps serial, thread, and
-    process backends bitwise identical (the determinism contract of
+    order-sensitive, and reordering is what keeps the serial and process
+    backends bitwise identical (the determinism contract of
     :mod:`repro.fl.execution`).  The async aggregation policies
     (:class:`~repro.fl.population.BufferedAccumulator`) subclass this and
     override :meth:`finalize` with a *simulated* completion order — also a

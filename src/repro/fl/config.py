@@ -107,8 +107,8 @@ class FederatedConfig:
     """Knobs of one federated run.
 
     ``backend``/``workers`` select the client-execution engine (see
-    :mod:`repro.fl.execution`): ``"serial"`` (default), ``"thread"``, or
-    ``"process"``, with ``workers=None`` meaning "all available cores".
+    :mod:`repro.fl.execution`): ``"serial"`` (default) or ``"process"``,
+    with ``workers=None`` meaning "all available cores".
     Backends are bitwise-deterministic, so these knobs change wall-clock
     time, never results.
 

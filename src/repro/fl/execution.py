@@ -2,13 +2,11 @@
 
 Every client's local SSL + personalization step is embarrassingly parallel,
 so the server dispatches per-client work through an
-:class:`ExecutionBackend` instead of a bare ``for`` loop.  Three backends
+:class:`ExecutionBackend` instead of a bare ``for`` loop.  Two backends
 ship with the repo:
 
 * :class:`SerialBackend` — the reference implementation: run tasks inline,
   one after another, on the calling thread;
-* :class:`ThreadBackend` — a thread pool; useful when tasks release the
-  GIL (large numpy kernels) or block on I/O;
 * :class:`ProcessBackend` — a process pool for true CPU parallelism.
 
 Determinism contract
@@ -20,11 +18,10 @@ pieces that make this hold:
    ``derive_client_rng(seed, round_index, client_id)`` — a pure function of
    the run seed and the task's coordinates, never of execution order.
 2. **Pure tasks.**  A task submitted to ``map_clients`` may execute on a
-   *copy* of itself (``ThreadBackend`` deep-copies per chunk so worker
-   replicas never share mutable algorithm state; ``ProcessBackend`` copies
-   by pickling).  Anything the caller needs back — client stores, updated
-   state — must flow through the task's return value, which the server
-   writes back on the coordinating process.
+   *copy* of itself (``ProcessBackend`` copies by pickling).  Anything the
+   caller needs back — client stores, updated state — must flow through
+   the task's return value, which the server writes back on the
+   coordinating process.
 3. **Order-preserving dispatch.**  ``map_clients`` always returns results
    in input order, regardless of completion order.
 
@@ -39,12 +36,11 @@ serially is always safe.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import pickle
 import warnings
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import as_completed
 
 try:
     from concurrent.futures.process import BrokenProcessPool
@@ -60,7 +56,6 @@ from .client import derive_rng
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "ExecutionError",
     "BACKENDS",
@@ -202,9 +197,9 @@ class ExecutionBackend:
     def register_clients(self, clients: Sequence) -> bool:
         """Opt the clients into this backend's data plane; True when active.
 
-        The base implementation is a no-op: serial and thread backends
-        share the coordinator's address space already, so there is nothing
-        to gain from a shared-memory store.  Only :class:`ProcessBackend`
+        The base implementation is a no-op: the serial backend shares the
+        coordinator's address space already, so there is nothing to gain
+        from a shared-memory store.  Only :class:`ProcessBackend`
         overrides this.
         """
         return False
@@ -250,58 +245,6 @@ class SerialBackend(ExecutionBackend):
 
     def map_clients(self, task: Callable, items: Sequence) -> List:
         return _run_chunk(task, list(items))
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool backend.
-
-    Each chunk runs against a deep copy of the task, so worker threads never
-    share the algorithm's mutable scratch state (e.g. the SSL template
-    module that local updates load state into).
-    """
-
-    name = "thread"
-
-    def map_clients(self, task: Callable, items: Sequence) -> List:
-        items = list(items)
-        chunks = chunk_items(items, self.workers, self.chunk_size)
-        if len(chunks) <= 1:
-            return _run_chunk(task, items)
-        try:
-            replicas = [copy.deepcopy(task) for _ in chunks]
-        except Exception as error:  # unexpected — algorithms are plain containers
-            return self._serial_fallback(task, items, error)
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
-            futures = [pool.submit(_run_chunk, replica, chunk)
-                       for replica, chunk in zip(replicas, chunks)]
-            results: List = []
-            for future in futures:  # input order, not completion order
-                results.extend(future.result())
-        return results
-
-    def imap_clients(self, task: Callable, items: Sequence
-                     ) -> Iterator[Tuple[int, object]]:
-        items = list(items)
-        chunks = chunk_items(items, self.workers, self.chunk_size)
-        if len(chunks) <= 1:
-            yield from super().imap_clients(task, items)
-            return
-        try:
-            replicas = [copy.deepcopy(task) for _ in chunks]
-        except Exception as error:  # unexpected — algorithms are plain containers
-            for index, result in enumerate(self._serial_fallback(task, items, error)):
-                yield index, result
-            return
-        starts = _chunk_starts(chunks)
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
-            futures = {
-                pool.submit(_run_chunk, replica, chunk): start
-                for replica, chunk, start in zip(replicas, chunks, starts)
-            }
-            for future in as_completed(futures):
-                start = futures[future]
-                for offset, result in enumerate(future.result()):
-                    yield start + offset, result
 
 
 class ProcessBackend(ExecutionBackend):
@@ -455,7 +398,6 @@ class ProcessBackend(ExecutionBackend):
 
 BACKENDS: Dict[str, Type[ExecutionBackend]] = {
     SerialBackend.name: SerialBackend,
-    ThreadBackend.name: ThreadBackend,
     ProcessBackend.name: ProcessBackend,
 }
 
@@ -470,7 +412,7 @@ def resolve_backend(spec, workers: Optional[int] = None,
     """Build an :class:`ExecutionBackend` from a name or pass one through.
 
     ``spec`` may be an existing backend instance (returned unchanged), a
-    registered name (``"serial"``, ``"thread"``, ``"process"``), or ``None``
+    registered name (``"serial"``, ``"process"``), or ``None``
     (serial).  Unknown names raise ``ValueError`` listing the registry.
     """
     if isinstance(spec, ExecutionBackend):

@@ -3,7 +3,7 @@
 :class:`AvailabilityModel` turns an
 :class:`~repro.fl.config.AvailabilitySpec` into concrete per-round
 decisions, all derived from ``derive_rng`` streams so churned runs stay
-bitwise identical across the serial/thread/process backends:
+bitwise identical across the serial and process backends:
 
 * **membership** — a two-state Markov chain per client, advanced one
   round at a time with vectorized draws.  The stationary online fraction

@@ -3,12 +3,11 @@
 :class:`TrainingSession` owns an explicit, serializable
 :class:`ServerState`, advances it via ``step()``/``run_until()``, emits
 typed lifecycle events to registered callbacks, and checkpoints/restores
-at round granularity with bitwise-exact resume.  ``FederatedServer``
-remains as a thin compatibility shim over this package.
+at round granularity with bitwise-exact resume.
 """
 
 from .callbacks import EarlyStopping, EvalCadence, HistoryStreamer, RoundCheckpointer
-from .codec import PackedState, decode_value, encode_value
+from .codec import decode_value, encode_value
 from .events import (
     AggregateDone,
     ClientUpdateDone,
@@ -42,7 +41,6 @@ __all__ = [
     "checkpoint_total_bytes",
     "encode_value",
     "decode_value",
-    "PackedState",
     "SessionEvent",
     "RoundBegin",
     "ClientUpdateDone",

@@ -33,19 +33,13 @@ Two encodings share the walker:
   small JSON skeleton whose arrays live in a binary ``.npcol`` container
   (:mod:`repro.arrays`).  Both encodings decode to *identical* values —
   the differential checkpoint tests pin that bitwise.
-
-:class:`PackedState` applies the same split to cross-process IPC: the
-process backend ships per-client algorithm state as one (skeleton,
-packed-buffer) pair instead of a pickled tree of ndarrays.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
-
-from ...arrays import pack_columns, unpack_columns
 
 __all__ = [
     "encode_value",
@@ -53,7 +47,6 @@ __all__ = [
     "ColumnSink",
     "encode_with_columns",
     "decode_with_columns",
-    "PackedState",
 ]
 
 _ND = "__nd__"
@@ -162,55 +155,3 @@ def decode_with_columns(value: Any, columns: Dict[str, np.ndarray]) -> Any:
     """Invert :func:`encode_with_columns` given the sink's columns."""
     return _decode(value, columns)
 
-
-class PackedState:
-    """A nested state value, columnar-packed for cross-process transport.
-
-    Pickles as a tiny JSON-shaped skeleton plus one contiguous ``.npcol``
-    buffer (:func:`repro.arrays.pack_columns`) instead of a deep tree of
-    individually pickled ndarrays — the wire format the process execution
-    backend uses for per-client algorithm stores.  ``pack``/``unpack``
-    round-trip exactly (dtypes, shapes, tuples, NaN payloads), and
-    unpacked arrays are fresh and writable, so a worker or coordinator
-    can mutate the restored store freely.
-    """
-
-    __slots__ = ("skeleton", "payload")
-
-    def __init__(self, skeleton: Any, payload: bytes):
-        self.skeleton = skeleton
-        self.payload = payload
-
-    @classmethod
-    def pack(cls, value: Any) -> "PackedState":
-        sink = ColumnSink()
-        skeleton = encode_with_columns(value, sink)
-        payload = pack_columns(sink.columns) if sink.columns else b""
-        return cls(skeleton, payload)
-
-    def unpack(self) -> Any:
-        columns = (unpack_columns(self.payload, writable=True)
-                   if self.payload else {})
-        return decode_with_columns(self.skeleton, columns)
-
-    @property
-    def nbytes(self) -> int:
-        return len(self.payload)
-
-    def __reduce__(self):
-        return (PackedState, (self.skeleton, self.payload))
-
-    def __repr__(self) -> str:
-        return f"PackedState(payload={len(self.payload)}B)"
-
-
-def pack_store(store: Any) -> Any:
-    """Pack a client store for dispatch; empty stores pass through."""
-    if not store or isinstance(store, PackedState):
-        return store
-    return PackedState.pack(store)
-
-
-def unpack_store(store: Any) -> Any:
-    """Invert :func:`pack_store` (idempotent on plain stores)."""
-    return store.unpack() if isinstance(store, PackedState) else store

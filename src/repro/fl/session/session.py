@@ -1,7 +1,6 @@
 """The composable, checkpointable round loop: :class:`TrainingSession`.
 
-This replaces the old ``FederatedServer.train()`` monolith with a session
-object that
+The session is the one driver of a federated run.  It
 
 * owns an explicit, serializable :class:`~repro.fl.session.state.ServerState`
   (global model, round cursor, history, algorithm server state, client
@@ -15,10 +14,7 @@ object that
   still-running clients instead of waiting for the round barrier;
 * checkpoints and restores at round granularity: a run resumed from a
   checkpoint taken at round k is bitwise identical to the uninterrupted
-  run, across serial/thread/process backends.
-
-``FederatedServer`` (:mod:`repro.fl.server`) survives as a thin
-compatibility shim over this class.
+  run, across serial and process backends.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from .events import (
     SessionCallback,
     SessionEvent,
 )
-from .codec import PackedState, pack_store, unpack_store
 from .state import ServerState, read_checkpoint, write_checkpoint
 
 __all__ = ["TrainingSession", "default_session_context"]
@@ -68,10 +63,6 @@ class _ClientOutcome:
     ``store`` carries the client's persistent algorithm state: under the
     process backend the worker mutates a pickled copy of the client, so the
     store must travel back explicitly for the coordinator to reattach.
-    When the dispatching session packs stores for IPC (process backend),
-    ``store`` travels both ways as a columnar
-    :class:`~repro.fl.session.codec.PackedState` buffer instead of a
-    pickled tree of ndarrays; the write-back sites unpack it.
     """
 
     client_id: int
@@ -79,28 +70,11 @@ class _ClientOutcome:
     store: Dict
 
 
-def _unpack_client_store(client: ClientData) -> bool:
-    """Restore a packed incoming store before the algorithm touches it.
-
-    Returns whether the store arrived packed — the task repacks its reply
-    iff it did, so serial/thread dispatch (never packed) is bit-for-bit
-    untouched and the serial *fallback* of the process backend stays safe
-    (pack/unpack round-trips exactly, and the task leaves the client it
-    was handed holding a plain store either way).
-    """
-    if isinstance(client.store, PackedState):
-        client.store = client.store.unpack()
-        return True
-    return False
-
-
 def _local_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
                        round_index: int, client: ClientData) -> _ClientOutcome:
     """One sampled client's round contribution (module-level: picklable)."""
-    packed = _unpack_client_store(client)
     update = algorithm.local_update(client, global_state, round_index)
-    store = pack_store(client.store) if packed else client.store
-    return _ClientOutcome(client.client_id, update, store)
+    return _ClientOutcome(client.client_id, update, client.store)
 
 
 def _cohort_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
@@ -111,21 +85,16 @@ def _cohort_update_task(algorithm: FederatedAlgorithm, global_state: StateDict,
     Returns one outcome per client, in cohort order, so the coordinator can
     reattach stores and feed the aggregator at original input positions.
     """
-    packed = [_unpack_client_store(client) for client in clients]
     updates = algorithm.cohort_update(clients, global_state, round_index)
-    return [_ClientOutcome(client.client_id, update,
-                           pack_store(client.store) if was_packed
-                           else client.store)
-            for client, update, was_packed in zip(clients, updates, packed)]
+    return [_ClientOutcome(client.client_id, update, client.store)
+            for client, update in zip(clients, updates)]
 
 
 def _personalize_task(algorithm: FederatedAlgorithm, global_state: StateDict,
                       client: ClientData) -> _ClientOutcome:
     """One client's personalization stage (module-level: picklable)."""
-    packed = _unpack_client_store(client)
     result = algorithm.personalize(client, global_state)
-    store = pack_store(client.store) if packed else client.store
-    return _ClientOutcome(client.client_id, result, store)
+    return _ClientOutcome(client.client_id, result, client.store)
 
 
 def _client_span_attrs(round_index: int, client: ClientData) -> Dict:
@@ -277,16 +246,10 @@ class TrainingSession:
         self._initialized = False
         self._stop_requested = False
         self._warned_non_finite = False
-        # Columnar IPC for per-client algorithm state: backends that pickle
-        # clients across a process boundary ship each non-empty store as one
-        # PackedState buffer (repro.arrays) instead of a pickled tree of
-        # ndarrays.  Serial/thread backends share memory with the
-        # coordinator, so packing would be pure overhead there.
-        self._pack_ipc = bool(getattr(self.backend, "uses_data_plane", False))
         # Shared-memory client-data plane (repro.data.shm): with the knob
         # on (or on auto), ask the backend to move client datasets into a
         # shared store so per-round pickles ship handles, not arrays.
-        # Serial/thread backends no-op; the process backend degrades
+        # The serial backend no-ops; the process backend degrades
         # gracefully when shared memory cannot be created here.  A virtual
         # population owns its own per-client segments (created at
         # realization, released at eviction), so the session only asks it
@@ -378,26 +341,6 @@ class TrainingSession:
             self.tracer.merge_fragment(outcome.telemetry)
             return outcome.result
         return outcome
-
-    # ------------------------------------------------------------------
-    # Columnar store IPC (process backend)
-    # ------------------------------------------------------------------
-    def _pack_participant_stores(self, clients: Sequence[ClientData]) -> None:
-        """Pack non-empty stores into columnar buffers before dispatch."""
-        if not self._pack_ipc:
-            return
-        for client in clients:
-            client.store = pack_store(client.store)
-
-    def _restore_participant_stores(self, clients: Sequence[ClientData]
-                                    ) -> None:
-        """Unpack any store still packed (error paths; write-back already
-        unpacked the happy path), so no PackedState ever reaches
-        :meth:`capture_state` or the next round's algorithm code."""
-        if not self._pack_ipc:
-            return
-        for client in clients:
-            client.store = unpack_store(client.store)
 
     # ------------------------------------------------------------------
     # The round loop
@@ -500,66 +443,61 @@ class TrainingSession:
         ))
         aggregator = self._make_round_aggregator(participants, round_index)
         cohorts = self._plan_cohorts(participants)
-        self._pack_participant_stores(participants)
-        try:
-            if cohorts is None:
-                task = self._instrument(
-                    functools.partial(
-                        _local_update_task, self.algorithm,
-                        self._state.global_state, round_index,
-                    ),
-                    "client_update",
-                    functools.partial(_client_span_attrs, round_index),
-                )
-                # Stream completed updates: stores reattach and the
-                # aggregator ingests each update the moment its client
-                # finishes, while other clients are still running.
-                with self._span("dispatch", round=round_index,
-                                participants=len(participants)):
-                    for index, boxed in self.backend.imap_clients(
-                            task, participants):
-                        outcome = self._unbox(boxed)
-                        participants[index].store = unpack_store(outcome.store)
-                        aggregator.add(index, outcome.result)
+        if cohorts is None:
+            task = self._instrument(
+                functools.partial(
+                    _local_update_task, self.algorithm,
+                    self._state.global_state, round_index,
+                ),
+                "client_update",
+                functools.partial(_client_span_attrs, round_index),
+            )
+            # Stream completed updates: stores reattach and the
+            # aggregator ingests each update the moment its client
+            # finishes, while other clients are still running.
+            with self._span("dispatch", round=round_index,
+                            participants=len(participants)):
+                for index, boxed in self.backend.imap_clients(
+                        task, participants):
+                    outcome = self._unbox(boxed)
+                    participants[index].store = outcome.store
+                    aggregator.add(index, outcome.result)
+                    self._emit(ClientUpdateDone(
+                        round_index=round_index,
+                        client_id=outcome.client_id,
+                        update=outcome.result,
+                    ))
+        else:
+            # Cohort dispatch: homogeneous clients travel together so the
+            # algorithm's vectorized engine (if any) can batch them.  The
+            # aggregator is still fed at *original* sample positions, so
+            # aggregation order — and therefore results — match the
+            # per-client path bitwise.
+            cohort_task = self._instrument(
+                functools.partial(
+                    _cohort_update_task, self.algorithm,
+                    self._state.global_state, round_index,
+                ),
+                "cohort_update",
+                functools.partial(_cohort_span_attrs, round_index),
+            )
+            groups = [[participants[position] for position in positions]
+                      for positions in cohorts]
+            with self._span("dispatch", round=round_index,
+                            participants=len(participants),
+                            cohorts=len(groups)):
+                for group_index, boxed in self.backend.imap_cohorts(
+                        cohort_task, groups):
+                    outcomes = self._unbox(boxed)
+                    for position, outcome in zip(cohorts[group_index],
+                                                 outcomes):
+                        participants[position].store = outcome.store
+                        aggregator.add(position, outcome.result)
                         self._emit(ClientUpdateDone(
                             round_index=round_index,
                             client_id=outcome.client_id,
                             update=outcome.result,
                         ))
-            else:
-                # Cohort dispatch: homogeneous clients travel together so the
-                # algorithm's vectorized engine (if any) can batch them.  The
-                # aggregator is still fed at *original* sample positions, so
-                # aggregation order — and therefore results — match the
-                # per-client path bitwise.
-                cohort_task = self._instrument(
-                    functools.partial(
-                        _cohort_update_task, self.algorithm,
-                        self._state.global_state, round_index,
-                    ),
-                    "cohort_update",
-                    functools.partial(_cohort_span_attrs, round_index),
-                )
-                groups = [[participants[position] for position in positions]
-                          for positions in cohorts]
-                with self._span("dispatch", round=round_index,
-                                participants=len(participants),
-                                cohorts=len(groups)):
-                    for group_index, boxed in self.backend.imap_cohorts(
-                            cohort_task, groups):
-                        outcomes = self._unbox(boxed)
-                        for position, outcome in zip(cohorts[group_index],
-                                                     outcomes):
-                            participants[position].store = unpack_store(
-                                outcome.store)
-                            aggregator.add(position, outcome.result)
-                            self._emit(ClientUpdateDone(
-                                round_index=round_index,
-                                client_id=outcome.client_id,
-                                update=outcome.result,
-                            ))
-        finally:
-            self._restore_participant_stores(participants)
         with self._span("aggregate", round=round_index):
             new_global = aggregator.finalize()
             updates: List[ClientUpdate] = list(aggregator.updates_in_order())
@@ -684,17 +622,12 @@ class TrainingSession:
         novel_accuracies: Dict[int, float] = {}
 
         def _collect(clients: Sequence[ClientData]) -> None:
-            self._pack_participant_stores(clients)
-            try:
-                outcomes = [self._unbox(boxed)
-                            for boxed in self.backend.map_clients(task,
-                                                                  clients)]
-                for client, outcome in zip(clients, outcomes):
-                    client.store = unpack_store(outcome.store)
-                    target = novel_accuracies if client.is_novel else accuracies
-                    target[client.client_id] = outcome.result.accuracy
-            finally:
-                self._restore_participant_stores(clients)
+            outcomes = [self._unbox(boxed)
+                        for boxed in self.backend.map_clients(task, clients)]
+            for client, outcome in zip(clients, outcomes):
+                client.store = outcome.store
+                target = novel_accuracies if client.is_novel else accuracies
+                target[client.client_id] = outcome.result.accuracy
 
         if self.population is not None:
             chunk_size = self.population.max_resident

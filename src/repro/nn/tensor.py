@@ -35,10 +35,9 @@ __all__ = [
     "unbroadcast",
 ]
 
-# Grad mode is thread-local: the thread execution backends run independent
-# clients (and, via repro.runs, whole experiments) concurrently, and one
-# thread evaluating under no_grad() must not strip another thread's
-# training graph mid-backward.  Each new thread starts with grads enabled.
+# Grad mode is thread-local, as in PyTorch: one thread evaluating under
+# no_grad() must not strip another thread's training graph mid-backward.
+# Each new thread starts with grads enabled.
 _GRAD_STATE = threading.local()
 _DEFAULT_DTYPE = np.float64
 

@@ -9,7 +9,7 @@ execution stack top-down::
                             aggregate, checkpoint} → personalize
 
 Coordinator-side code opens spans directly (``with tracer.span(...)``);
-worker-side code — client tasks shipped to thread/process backends —
+worker-side code — client tasks shipped to the process backend —
 records into a private per-task tracer whose :class:`TelemetryFragment`
 travels back picklably with the result and is merged into the
 coordinator's tracer by :meth:`Tracer.merge_fragment`.  Per-process
@@ -226,7 +226,7 @@ class TelemetryFragment:
     counter/gauge totals, and the recording process's pid.
 
     Everything is plain data — lists, dicts, floats — so fragments pickle
-    across the process backend and deep-copy under the thread backend.
+    across the process backend.
     """
 
     spans: List[Span]

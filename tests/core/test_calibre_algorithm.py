@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Calibre
 from repro.data import DataSplit, make_cifar10_like, partition_dirichlet
-from repro.fl import ClientData, FederatedConfig, FederatedServer, build_federation
+from repro.fl import ClientData, FederatedConfig, TrainingSession, build_federation
 from repro.nn import MLPEncoder
 
 IMAGE_SIZE = 8
@@ -154,5 +154,5 @@ class TestEdgeCases:
         config, dataset, clients = make_setup(rounds=1)
         algorithm = Calibre(config, 10, encoder_factory, ssl_name=ssl_name,
                             num_prototypes=3)
-        result = FederatedServer(algorithm, clients, config).run()
+        result = TrainingSession(algorithm, clients, config).execute()
         assert len(result.accuracies) == len(clients)

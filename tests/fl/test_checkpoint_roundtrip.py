@@ -6,8 +6,8 @@ Three properties, for every registered method:
    key order, tuples, NaNs);
 2. a run checkpointed at an arbitrary round and resumed in a fresh
    session produces a ``RunResult`` bitwise identical to the
-   uninterrupted run — including across the thread/process execution
-   backends;
+   uninterrupted run — including across the serial and process
+   execution backends;
 3. the legacy schema-1 (inline JSON) and schema-2 (manifest + ``.npcol``
    sidecar) checkpoint formats are *differentially* identical: the same
    state written both ways reads back bitwise equal, and both resume to
@@ -29,7 +29,6 @@ from repro.eval import available_methods, build_method
 from repro.eval.harness import EncoderSpec
 from repro.fl import FederatedConfig, TrainingSession, build_federation
 from repro.fl.session import (
-    PackedState,
     ServerState,
     decode_value,
     encode_value,
@@ -203,7 +202,7 @@ class TestEveryMethodCheckpoints:
 
 
 @pytest.mark.parametrize("method", ["scaffold", "calibre-simclr"])
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 class TestResumeAcrossBackends:
     def test_resume_matches_serial_uninterrupted(self, method, backend):
         """A checkpoint taken under serial resumes bitwise under every
@@ -223,9 +222,8 @@ class TestResumeAcrossBackends:
     def test_columnar_and_json_files_resume_identically(self, method,
                                                         backend, tmp_path):
         """Both on-disk formats, written under one backend, restore and
-        resume to the same bitwise result under that backend — the
-        process backend additionally exercises the PackedState IPC
-        path end to end."""
+        resume to the same bitwise result under that backend, with the
+        restored stores shipped to workers by plain pickle."""
         config = tiny_config(clients_per_round=4)
         reference = json.dumps(make_session(method, config).execute().to_json())
 
@@ -346,47 +344,6 @@ class TestSidecarLifecycle:
         sidecar.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CorruptArrayFile):
             read_checkpoint(path)
-
-
-class TestPackedStateProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(value=_store_values)
-    def test_pack_unpack_round_trip_is_exact(self, value):
-        assert_exact(PackedState.pack(value).unpack(), value)
-
-    @settings(max_examples=30, deadline=None)
-    @given(value=_store_values)
-    def test_pickle_round_trip_is_exact(self, value):
-        import pickle
-
-        packed = PackedState.pack(value)
-        assert_exact(pickle.loads(pickle.dumps(packed)).unpack(), value)
-
-    @settings(max_examples=30, deadline=None)
-    @given(value=_store_values)
-    def test_unpacked_arrays_are_writable(self, value):
-        def all_writable(item):
-            if isinstance(item, np.ndarray):
-                return item.flags.writeable
-            if isinstance(item, dict):
-                return all(all_writable(v) for v in item.values())
-            if isinstance(item, (list, tuple)):
-                return all(all_writable(v) for v in item)
-            return True
-
-        assert all_writable(PackedState.pack(value).unpack())
-
-    def test_empty_store_passes_through_pack_store(self):
-        from repro.fl.session.codec import pack_store, unpack_store
-
-        assert pack_store({}) == {}
-        assert pack_store(None) is None
-        store = {"w": np.arange(3.0)}
-        packed = pack_store(store)
-        assert isinstance(packed, PackedState)
-        assert pack_store(packed) is packed  # idempotent
-        assert_exact(unpack_store(packed), store)
-        assert unpack_store(store) is store
 
 
 GOLDEN_CHECKPOINT = Path(__file__).parent / "data" / \

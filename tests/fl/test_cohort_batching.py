@@ -104,7 +104,7 @@ class TestBatchedEngineEngages:
             "pfl-simclr", cohort_config(batch_size=6, client_batch=None))
         assert len(algorithm._trace_cache) == 2
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_backends_match_serial(self, backend):
         config = cohort_config(client_batch=None, workers=2)
         _, _, serial = run_session("pfl-simclr", config)

@@ -10,10 +10,9 @@ from repro.eval import build_method, make_dataset, make_encoder_factory
 from repro.eval.harness import NonIIDSetting, make_partitions
 from repro.fl import (
     FederatedConfig,
-    FederatedServer,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
+    TrainingSession,
     available_backends,
     build_federation,
     derive_client_rng,
@@ -38,11 +37,6 @@ def test_serial_backend_maps_in_order():
     assert SerialBackend().map_clients(_double, range(7)) == [0, 2, 4, 6, 8, 10, 12]
 
 
-def test_thread_backend_preserves_input_order():
-    backend = ThreadBackend(workers=3, chunk_size=2)
-    assert backend.map_clients(_double, range(11)) == [2 * i for i in range(11)]
-
-
 def test_process_backend_maps_and_reuses_pool():
     with ProcessBackend(workers=2) as backend:
         assert backend.map_clients(_double, range(5)) == [0, 2, 4, 6, 8]
@@ -50,8 +44,7 @@ def test_process_backend_maps_and_reuses_pool():
         assert backend.map_clients(_double, range(3)) == [0, 2, 4]
 
 
-@pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend,
-                                         ProcessBackend])
+@pytest.mark.parametrize("backend_cls", [SerialBackend, ProcessBackend])
 def test_imap_yields_every_index_exactly_once(backend_cls):
     with backend_cls(workers=3, chunk_size=2) as backend:
         pairs = list(backend.imap_clients(_double, range(11)))
@@ -90,7 +83,7 @@ def test_process_imap_falls_back_on_unpicklable_task():
 
 
 def test_imap_task_exceptions_propagate():
-    for backend_cls in (SerialBackend, ThreadBackend):
+    for backend_cls in (SerialBackend, ProcessBackend):
         with backend_cls(workers=2, chunk_size=1) as backend, \
                 pytest.raises(ValueError, match="task failure"):
             list(backend.imap_clients(_explode, range(4)))
@@ -126,10 +119,10 @@ def test_resolve_backend_rejects_unknown_names():
 
 def test_resolve_backend_accepts_names_and_instances():
     assert isinstance(resolve_backend(None), SerialBackend)
-    assert isinstance(resolve_backend("THREAD", workers=2), ThreadBackend)
+    assert isinstance(resolve_backend("PROCESS", workers=2), ProcessBackend)
     backend = ProcessBackend(workers=1)
     assert resolve_backend(backend) is backend
-    assert set(available_backends()) == {"serial", "thread", "process"}
+    assert available_backends() == ["process", "serial"]
 
 
 @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
@@ -166,7 +159,7 @@ def test_process_backend_falls_back_to_serial_on_unpicklable_task():
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("backend_cls", [SerialBackend, ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("backend_cls", [SerialBackend, ProcessBackend])
 def test_task_exceptions_propagate_not_fallback(backend_cls):
     # A bug inside a client task is not backend unavailability: it must
     # surface identically under every backend, with no fallback warning.
@@ -208,15 +201,15 @@ def _run_tiny(backend, workers=None, method="pfl-simclr"):
     clients = build_federation(dataset, partitions, seed=2)
     algorithm = build_method(method, config, dataset.num_classes, encoder_factory,
                              projection_dim=8, hidden_dim=16)
-    server = FederatedServer(algorithm, clients, config)
+    session = TrainingSession(algorithm, clients, config)
     with warnings.catch_warnings():
         # A silent fallback would make the "parallel" runs vacuous.
         warnings.simplefilter("error", RuntimeWarning)
-        result = server.run()
+        result = session.execute()
     return result, clients
 
 
-@pytest.mark.parametrize("backend,workers", [("thread", 2), ("process", 2)])
+@pytest.mark.parametrize("backend,workers", [("process", 2)])
 def test_parallel_backends_reproduce_serial_run(backend, workers):
     serial, _ = _run_tiny("serial")
     parallel, _ = _run_tiny(backend, workers)

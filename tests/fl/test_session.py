@@ -1,5 +1,5 @@
 """TrainingSession mechanics: events, callbacks, streaming aggregation,
-checkpoint files, and the FederatedServer compatibility shim."""
+checkpoint files, and the run/personalize surface."""
 
 import io
 import json
@@ -14,7 +14,6 @@ from repro.fl import (
     EvalCadence,
     FederatedAlgorithm,
     FederatedConfig,
-    FederatedServer,
     HistoryStreamer,
     RoundCheckpointer,
     RoundRobinSampler,
@@ -310,42 +309,30 @@ class TestBuiltinCallbacks:
         assert len(recorder.events) == count
 
 
-class TestServerShim:
-    def test_shim_matches_session_bitwise(self):
+class TestSessionSurface:
+    def test_execute_matches_run_then_personalize(self):
         config = tiny_config()
-        result_server = FederatedServer(
-            TraceAlgorithm(config), make_clients(4), config).run()
+        staged = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
+        staged.run()
+        result_staged = staged.personalize()
         result_session = TrainingSession(
             TraceAlgorithm(config), make_clients(4), config).execute()
-        assert json.dumps(result_server.to_json()) == \
+        assert json.dumps(result_staged.to_json()) == \
             json.dumps(result_session.to_json())
 
-    def test_shim_exposes_legacy_surface(self):
+    def test_exposes_run_surface(self):
         config = tiny_config()
         algorithm = TraceAlgorithm(config)
-        server = FederatedServer(algorithm, make_clients(4), config)
-        assert server.algorithm is algorithm
-        assert server.config is config
-        assert server.global_state is None
-        final = server.train()
-        assert server.global_state is final
-        assert len(server.round_records) == config.rounds
-        result = server.personalize_all()
+        session = TrainingSession(algorithm, make_clients(4), config)
+        assert session.algorithm is algorithm
+        assert session.config is config
+        assert session.global_state is None
+        final = session.run()
+        assert session.global_state is final
+        assert len(session.round_records) == config.rounds
+        result = session.personalize()
         assert len(result.accuracies) == 4
-        server.close()
-
-
-class TestServerShimDeprecation:
-    def test_legacy_entry_points_warn(self):
-        config = tiny_config(rounds=1)
-        server = FederatedServer(TraceAlgorithm(config), make_clients(4), config)
-        with pytest.warns(DeprecationWarning, match="TrainingSession"):
-            server.train()
-        with pytest.warns(DeprecationWarning, match="personalize"):
-            server.personalize_all()
-        server = FederatedServer(TraceAlgorithm(config), make_clients(4), config)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            server.run()
+        session.close()
 
 
 class TestRestoreValidation:
@@ -385,12 +372,12 @@ class TestRestoreValidation:
 
     def test_execution_knobs_do_not_change_context(self):
         config = tiny_config()
-        thread_config = tiny_config(backend="thread", workers=2)
+        process_config = tiny_config(backend="process", workers=2)
         serial = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
-        threaded = TrainingSession(TraceAlgorithm(thread_config), make_clients(4),
-                                   thread_config)
-        assert serial.context == threaded.context
-        threaded.close()
+        parallel = TrainingSession(TraceAlgorithm(process_config),
+                                   make_clients(4), process_config)
+        assert serial.context == parallel.context
+        parallel.close()
 
     def test_captured_state_is_detached(self):
         config = tiny_config(rounds=2)

@@ -56,7 +56,7 @@ COORDINATOR_SPANS = ("session", "round", "sample", "dispatch", "aggregate",
 
 
 class TestSpanTaxonomyAcrossBackends:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_full_taxonomy_on_every_backend(self, backend):
         tracer = Tracer()
         config = small_config(backend=backend, workers=2, client_batch=1)
@@ -67,7 +67,7 @@ class TestSpanTaxonomyAcrossBackends:
         assert "client_update" in names
         assert "client_personalize" in names
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_span_counts_match_the_schedule(self, backend):
         tracer = Tracer()
         config = small_config(backend=backend, workers=2, client_batch=1)
@@ -98,7 +98,7 @@ class TestSpanTaxonomyAcrossBackends:
     def test_worker_spans_fit_inside_their_parent(self):
         tracer = Tracer()
         run_traced("fedavg", small_config(rounds=1, client_batch=1,
-                                          backend="thread", workers=2),
+                                          backend="process", workers=2),
                    tracer)
         index = {span.span_id: span for span in tracer.spans}
         for span in tracer.spans:
@@ -115,10 +115,10 @@ class TestObservationOnly:
 
     def test_traced_results_bitwise_equal_across_backends(self):
         serial = run_traced("fedavg", small_config(client_batch=1), Tracer())
-        thread = run_traced("fedavg",
-                            small_config(client_batch=1, backend="thread",
-                                         workers=2), Tracer())
-        assert json.dumps(serial.to_json()) == json.dumps(thread.to_json())
+        process = run_traced("fedavg",
+                             small_config(client_batch=1, backend="process",
+                                          workers=2), Tracer())
+        assert json.dumps(serial.to_json()) == json.dumps(process.to_json())
 
 
 class TestCohortCounters:

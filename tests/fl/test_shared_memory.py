@@ -20,9 +20,9 @@ from repro.eval import build_method, make_dataset, make_encoder_factory
 from repro.eval.harness import NonIIDSetting, make_partitions
 from repro.fl import (
     FederatedConfig,
-    FederatedServer,
     ProcessBackend,
     SerialBackend,
+    TrainingSession,
     build_federation,
     payload_nbytes,
 )
@@ -149,7 +149,7 @@ class TestShareClientSplits:
 
 
 # ----------------------------------------------------------------------
-# Backend + server integration
+# Backend + session integration
 # ----------------------------------------------------------------------
 TINY_CONFIG = FederatedConfig(
     num_clients=3, clients_per_round=3, rounds=2, local_epochs=1,
@@ -170,20 +170,20 @@ def _run_tiny(backend, workers=None, shared_memory=None, guard_warnings=True):
     clients = build_federation(dataset, partitions, seed=2)
     algorithm = build_method("pfl-simclr", config, dataset.num_classes,
                              encoder_factory, projection_dim=8, hidden_dim=16)
-    server = FederatedServer(algorithm, clients, config)
+    session = TrainingSession(algorithm, clients, config)
     with warnings.catch_warnings():
         if guard_warnings:
             warnings.simplefilter("error", RuntimeWarning)
-        result = server.run()
-    return result, server
+        result = session.execute()
+    return result, session
 
 
 class TestPlaneIntegration:
     def test_process_backend_with_plane_matches_serial_bitwise(self):
-        serial, serial_server = _run_tiny("serial")
-        assert not serial_server.shared_memory_active  # serial bypasses the plane
-        shared, shared_server = _run_tiny("process", workers=2, shared_memory=True)
-        assert shared_server.shared_memory_active
+        serial, serial_session = _run_tiny("serial")
+        assert not serial_session.shared_memory_active  # serial bypasses the plane
+        shared, shared_session = _run_tiny("process", workers=2, shared_memory=True)
+        assert shared_session.shared_memory_active
         assert shared.accuracies == serial.accuracies
         assert [r.mean_loss for r in shared.rounds] == \
             [r.mean_loss for r in serial.rounds]
@@ -191,12 +191,12 @@ class TestPlaneIntegration:
             [r.participant_ids for r in serial.rounds]
 
     def test_plane_defaults_on_for_process_backend(self):
-        _, server = _run_tiny("process", workers=2)
-        assert server.shared_memory_active
+        _, session = _run_tiny("process", workers=2)
+        assert session.shared_memory_active
 
     def test_plane_can_be_disabled(self):
-        result, server = _run_tiny("process", workers=2, shared_memory=False)
-        assert not server.shared_memory_active
+        result, session = _run_tiny("process", workers=2, shared_memory=False)
+        assert not session.shared_memory_active
         baseline, _ = _run_tiny("serial")
         assert result.accuracies == baseline.accuracies
 
@@ -230,9 +230,9 @@ class TestPlaneIntegration:
     def test_forced_plane_warns_when_it_cannot_activate(self, monkeypatch):
         monkeypatch.setattr(shm_module, "_shared_memory", None)
         with pytest.warns(RuntimeWarning, match="shared-memory data plane"):
-            result, server = _run_tiny("process", shared_memory=True,
+            result, session = _run_tiny("process", shared_memory=True,
                                        guard_warnings=False)
-        assert not server.shared_memory_active
+        assert not session.shared_memory_active
         baseline, _ = _run_tiny("serial")
         assert result.accuracies == baseline.accuracies
 

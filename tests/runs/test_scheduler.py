@@ -57,13 +57,13 @@ class TestRunSweep:
 
     def test_results_identical_across_schedulers(self, tmp_path):
         sweep = tiny_sweep()
-        serial_dir, thread_dir = tmp_path / "serial", tmp_path / "thread"
+        serial_dir, process_dir = tmp_path / "serial", tmp_path / "process"
         run_sweep(sweep, store=serial_dir, backend="serial")
-        run_sweep(sweep, store=thread_dir, backend="thread", workers=2)
+        run_sweep(sweep, store=process_dir, backend="process", workers=2)
         for key in sweep.cells():
             serial_bytes = RunStore(serial_dir).path_for(key).read_bytes()
-            thread_bytes = RunStore(thread_dir).path_for(key).read_bytes()
-            assert serial_bytes == thread_bytes
+            process_bytes = RunStore(process_dir).path_for(key).read_bytes()
+            assert serial_bytes == process_bytes
 
     def test_outcome_from_records_matches_live_run(self):
         sweep = tiny_sweep()

@@ -42,6 +42,27 @@ class TestMain:
     def test_run_rejects_unknown_method(self, capsys):
         assert main(["run", "--method", "bogus"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--method", "fedavg", "--workers", "0"],
+         "--workers must be >= 1"),
+        (["run", "--method", "pfl-simclr", "--samples", "2"],
+         "samples_per_client must be >= 4"),
+        (["run", "--method", "pfl-simclr", "--clients", "0"],
+         "num_clients must be >= 1"),
+        (["sweep", "--exp", "table1", "--samples", "2"],
+         "samples_per_client must be >= 4"),
+        (["report", "--exp", "table1", "--samples", "2"],
+         "samples_per_client must be >= 4"),
+    ])
+    def test_usage_errors_exit_2_with_one_line(self, capsys, tmp_path,
+                                               argv, message):
+        if argv[0] != "run":
+            argv = argv + ["--runs-dir", str(tmp_path / "store")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+
     def test_run_tiny_experiment(self, capsys):
         code = main([
             "run", "--method", "script-fair", "--dataset", "cifar10",
