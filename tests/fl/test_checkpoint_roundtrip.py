@@ -15,6 +15,7 @@ Three properties, for every registered method:
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,11 @@ from repro.fl.session import (
     encode_value,
     read_checkpoint,
     write_checkpoint,
+)
+from repro.fl.session.codec import (
+    ColumnSink,
+    decode_with_columns,
+    encode_with_columns,
 )
 from repro.fl.session.state import (
     checkpoint_sidecar,
@@ -239,6 +245,65 @@ class TestResumeAcrossBackends:
         result = json.dumps(resumed.execute().to_json())
         resumed.close()
         assert result == reference
+
+
+class TestStoreWireFormat:
+    """Client stores travel to process workers and back as plain pickle;
+    what comes back must equal what was sent, bit for bit, and stay
+    mutable so the next round can train on it in place."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=_store_values)
+    def test_pickle_round_trip_is_exact(self, value):
+        import pickle
+
+        assert_exact(pickle.loads(pickle.dumps(value)), value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=_store_values)
+    def test_unpickled_arrays_are_writable(self, value):
+        import pickle
+
+        def all_writable(item):
+            if isinstance(item, np.ndarray):
+                return item.flags.writeable
+            if isinstance(item, dict):
+                return all(all_writable(v) for v in item.values())
+            if isinstance(item, (list, tuple)):
+                return all(all_writable(v) for v in item)
+            return True
+
+        assert all_writable(pickle.loads(pickle.dumps(value)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=_store_values)
+    def test_column_split_round_trip_is_exact(self, value):
+        sink = ColumnSink()
+        skeleton = encode_with_columns(value, sink)
+        json.dumps(skeleton)  # the skeleton alone is plain JSON
+        assert_exact(decode_with_columns(skeleton, sink.columns), value)
+
+
+@pytest.mark.parametrize("method", ["scaffold", "calibre-simclr"])
+def test_process_stores_match_serial_stores(method):
+    """After every round, the stores the coordinator holds under the
+    process backend equal the serial backend's, bitwise: the pickled
+    round trip neither drops, reorders nor perturbs client state."""
+    config = tiny_config(clients_per_round=4)
+    serial = make_session(method, config)
+    parallel = make_session(method, config, backend="process")
+    try:
+        for _ in range(config.rounds):
+            serial.step()
+            with warnings.catch_warnings():
+                # A silent serial fallback would make the comparison vacuous.
+                warnings.simplefilter("error", RuntimeWarning)
+                parallel.step()
+            assert_exact(parallel.capture_state().client_stores,
+                         serial.capture_state().client_stores)
+    finally:
+        parallel.close()
+        serial.close()
 
 
 class TestCheckpointFiles:

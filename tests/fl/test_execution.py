@@ -1,5 +1,6 @@
 """Execution backends: determinism across backends, fallback, validation."""
 
+import importlib
 import pickle
 import warnings
 
@@ -42,6 +43,11 @@ def test_process_backend_maps_and_reuses_pool():
         assert backend.map_clients(_double, range(5)) == [0, 2, 4, 6, 8]
         # Second dispatch reuses the live pool.
         assert backend.map_clients(_double, range(3)) == [0, 2, 4]
+
+
+def test_process_backend_preserves_input_order_across_chunks():
+    with ProcessBackend(workers=2, chunk_size=2) as backend:
+        assert backend.map_clients(_double, range(11)) == [2 * i for i in range(11)]
 
 
 @pytest.mark.parametrize("backend_cls", [SerialBackend, ProcessBackend])
@@ -115,6 +121,34 @@ def test_resolve_backend_rejects_unknown_names():
         resolve_backend("gpu-farm")
     with pytest.raises(ValueError, match="ExecutionBackend"):
         resolve_backend(42)
+
+
+def test_thread_is_no_longer_a_backend():
+    # Records written when a thread backend existed fail loudly, not
+    # silently on some other backend.
+    with pytest.raises(ValueError, match="unknown execution backend"):
+        resolve_backend("thread")
+    with pytest.raises(ValueError, match="unknown execution backend"):
+        FederatedConfig(backend="thread")
+
+
+@pytest.mark.parametrize("module,name", [
+    ("repro.fl", "FederatedServer"),
+    ("repro.fl", "ThreadBackend"),
+    ("repro.fl.execution", "ThreadBackend"),
+    ("repro.fl.session", "PackedState"),
+    ("repro.fl.session.codec", "pack_store"),
+    ("repro.fl.session.codec", "unpack_store"),
+])
+def test_removed_execution_paths_stay_removed(module, name):
+    imported = importlib.import_module(module)
+    assert not hasattr(imported, name)
+    assert name not in getattr(imported, "__all__", ())
+
+
+def test_server_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.fl.server")
 
 
 def test_resolve_backend_accepts_names_and_instances():

@@ -27,6 +27,16 @@ class TestParser:
         )
         assert args.method == ["fedavg", "script-fair"]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "fedavg", "--backend", "thread"],
+        ["sweep", "--exp", "table1", "--scheduler", "thread"],
+    ])
+    def test_thread_backend_choice_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_fig3_panel_bounds(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig3", "--panel", "9"])
