@@ -28,6 +28,12 @@ per run) with ``--append-history``, and the gate reports each
 benchmark's delta against the *trailing median* of the recorded history —
 so a slow drift that never crosses the fixed ceiling is still visible,
 run over run, in CI logs and in the committed history file.
+
+Each appended row carries the numeric-environment stamp of the run
+(``repro.fl.execution.numeric_environment``).  The BLAS thread count
+changes both the calibration workload and the benchmarks, so the
+trailing median only takes rows with this run's BLAS thread count;
+legacy rows recorded before stamping are labelled and left out.
 """
 
 import argparse
@@ -35,10 +41,12 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
+from repro.fl.execution import numeric_environment
 from repro.ioutil import atomic_write_text
 
 DEFAULT_THRESHOLDS = Path(__file__).resolve().parent / "benchmark_thresholds.json"
@@ -46,6 +54,8 @@ DEFAULT_HISTORY = Path(__file__).resolve().parent / "bench_history.jsonl"
 DEFAULT_HEADROOM = 4.0
 TREND_WINDOW = 20
 """How many trailing history entries the median baseline considers."""
+LEGACY_LABEL = "legacy (unstamped)"
+"""Label of history rows appended before rows carried a numeric stamp."""
 
 
 def calibration_seconds(repeats: int = 5) -> float:
@@ -85,6 +95,27 @@ def load_history(path: Path):
     return entries
 
 
+def history_label(entry) -> str:
+    """The numeric environment a history row was measured in."""
+    stamp = entry.get("numerics")
+    if not stamp:
+        return LEGACY_LABEL
+    return f"blas_threads={stamp.get('blas_threads')}"
+
+
+def partition_history(entries, blas_threads):
+    """Split rows into the stamped ones measured with ``blas_threads`` BLAS
+    threads, in order, and a count of the others by :func:`history_label`."""
+    comparable, excluded = [], Counter()
+    for entry in entries:
+        stamp = entry.get("numerics")
+        if stamp and stamp.get("blas_threads") == blas_threads:
+            comparable.append(entry)
+        else:
+            excluded[history_label(entry)] += 1
+    return comparable, excluded
+
+
 def trailing_medians(entries, window: int = TREND_WINDOW):
     """Per-benchmark median normalized ratio over the last ``window`` runs."""
     recent = entries[-window:]
@@ -96,9 +127,10 @@ def trailing_medians(entries, window: int = TREND_WINDOW):
 
 
 def append_history(path: Path, normalized, calibration: float,
-                   run_id: str) -> None:
+                   run_id: str, numerics) -> None:
     entry = {
         "run_id": run_id,
+        "numerics": numerics,
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "calibration_seconds": calibration,
         "normalized": {name: round(ratio, 4)
@@ -173,14 +205,21 @@ def main(argv=None) -> int:
         }, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")
 
+    numerics = numeric_environment()
+    label = history_label({"numerics": numerics})
     history_path = Path(args.history)
     history = load_history(history_path)
-    medians = trailing_medians(history)
+    comparable, excluded = partition_history(history, numerics["blas_threads"])
+    if excluded:
+        print("left out of the trend median (other numeric environment): "
+              + ", ".join(f"{count} {name} row(s)"
+                          for name, count in sorted(excluded.items())))
+    medians = trailing_medians(comparable)
     if medians:
-        window = min(len(history), TREND_WINDOW)
+        window = min(len(comparable), TREND_WINDOW)
         width = max(len(name) for name in normalized)
-        print(f"perf trend vs trailing median of last {window} run(s) "
-              f"in {history_path.name}:")
+        print(f"perf trend vs trailing median of last {window} {label} "
+              f"run(s) in {history_path.name}:")
         for name, ratio in sorted(normalized.items()):
             baseline = medians.get(name)
             if baseline is None or baseline <= 0:
@@ -190,12 +229,13 @@ def main(argv=None) -> int:
             print(f"  {name:<{width}}  {ratio:>10.3f}  "
                   f"median {baseline:>8.3f}  {delta:+6.1f}%")
     else:
-        print(f"no perf history at {history_path} yet "
+        print(f"no {label} perf history at {history_path} yet "
               "(--append-history records this run)")
     if args.append_history:
         run_id = (args.run_id if args.run_id
                   else os.environ.get("GITHUB_SHA", "local")[:12])
-        append_history(history_path, normalized, calibration, run_id)
+        append_history(history_path, normalized, calibration, run_id,
+                       numerics)
         print(f"appended run {run_id!r} to {history_path} "
               f"({len(history) + 1} entries)")
 

@@ -31,10 +31,10 @@ def cli_env():
     return env
 
 
-def run_cli(*args: str) -> str:
+def run_cli(*args: str, env=None) -> str:
     result = subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        capture_output=True, text=True, env=cli_env(), cwd=REPO_ROOT,
+        capture_output=True, text=True, env=env or cli_env(), cwd=REPO_ROOT,
     )
     if result.returncode != 0:
         fail(f"repro {' '.join(args[:2])} exited {result.returncode}:\n"

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
 from typing import List, Optional
@@ -79,7 +80,7 @@ from .experiments import (
 )
 from .experiments.settings import SCALED_CONFIG
 from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec
-from .fl.execution import available_backends
+from .fl.execution import available_backends, pin_blas_threads
 from .ioutil import atomic_write_text
 from .runs import RunStore, outcome_from_records, run_sweep, save_outcome
 from .telemetry import (
@@ -714,6 +715,29 @@ def _print_timings(store: RunStore, cells) -> None:
         print(f"  ({rows_missing} cell(s) have no recorded timing)")
 
 
+UNSTAMPED = "unstamped (computed before BLAS pinning)"
+
+
+def _warn_mixed_numerics(store: RunStore, cells) -> None:
+    """One stderr line when the rendered cells do not all carry one stamp.
+
+    A cell's numbers depend on the BLAS thread count it was computed
+    with; cells from different numeric environments, or from before the
+    program pinned BLAS, may not be comparable (docs/invariants.md,
+    "Numeric environment").  Stdout is untouched.
+    """
+    stamps = store.numerics()
+    counts = Counter(
+        json.dumps(stamps[fingerprint], sort_keys=True)
+        if fingerprint in stamps else UNSTAMPED
+        for fingerprint in {key.fingerprint for key in cells})
+    if len(counts) > 1 or UNSTAMPED in counts:
+        groups = "; ".join(f"{count} cell(s) {label}"
+                           for label, count in sorted(counts.items()))
+        print("warning: rendered cells are not all from one stamped numeric "
+              f"environment: {groups}", file=sys.stderr)
+
+
 def _across_seeds_pairs(cells, records, novel: bool = False):
     """method → per-seed (mean, variance) pairs, in the grid's seed order."""
     per_method = {}
@@ -783,6 +807,7 @@ def _command_report(args) -> int:
             print(f"  ... and {len(missing) - 10} more", file=sys.stderr)
         return 1
     records = store.load_records(cells)
+    _warn_mixed_numerics(store, cells)
     if args.across_seeds:
         status = _report_across_seeds(args, cells, records)
         if args.timings:
@@ -901,6 +926,9 @@ def _command_profile(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # One BLAS thread, always: the thread count changes summation order,
+    # and a cell's result must be a function of its config alone.
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)

@@ -25,6 +25,17 @@ pieces that make this hold:
 3. **Order-preserving dispatch.**  ``map_clients`` always returns results
    in input order, regardless of completion order.
 
+Numeric environment
+-------------------
+Every process that runs client or cell work computes on one BLAS thread:
+:func:`pin_blas_threads` runs at ``repro.cli.main`` entry and as the
+initializer of every :class:`ProcessBackend` pool worker.  OpenBLAS's
+multi-threaded kernels sum in a different order than its single-threaded
+ones, so an unpinned thread count would make a cell's record depend on
+the machine instead of on its config alone (``docs/invariants.md``,
+"Numeric environment").  :func:`numeric_environment` reads the stamp
+the scheduler writes beside each record.
+
 Fallback contract
 -----------------
 Backends constructed with ``fallback=True`` (the default) degrade to
@@ -36,9 +47,12 @@ serially is always safe.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import pickle
+import platform
 import warnings
 from concurrent.futures import as_completed
 
@@ -47,6 +61,7 @@ try:
 except ImportError:  # stripped-down builds without _multiprocessing
     class BrokenProcessPool(RuntimeError):
         """Placeholder when concurrent.futures.process cannot import."""
+from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -64,7 +79,94 @@ __all__ = [
     "resolve_workers",
     "chunk_items",
     "derive_client_rng",
+    "BLAS_THREAD_VARS",
+    "pin_blas_threads",
+    "numeric_environment",
 ]
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+"""Read by BLAS libraries when they load; set so that child processes
+start pinned before they import numpy."""
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled ``scipy_openblas64_`` library, or None (another BLAS).
+
+    Opening the file numpy already loaded returns the loaded instance, so
+    calls through this handle act on numpy's own BLAS.
+    """
+    package = Path(np.__file__).resolve().parent
+    candidates = (sorted(package.parent.glob("numpy.libs/libscipy_openblas*"))
+                  + sorted(package.glob(".dylibs/libscipy_openblas*")))
+    for path in candidates:
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+def _blas_function(name: str, restype, argtypes=()):
+    """``scipy_openblas_<name>64_`` from numpy's bundled OpenBLAS, or None."""
+    library = _bundled_openblas()
+    function = getattr(library, f"scipy_openblas_{name}64_", None)
+    if function is not None:
+        function.restype = restype
+        function.argtypes = list(argtypes)
+    return function
+
+
+def pin_blas_threads() -> None:
+    """Run this process's BLAS on one thread, and start its children that way.
+
+    There is deliberately no way to choose another count: the thread
+    count changes OpenBLAS's summation order, so a cell's result would
+    otherwise depend on the machine that computed it.  A caller's
+    ``OPENBLAS_NUM_THREADS=4`` is overridden.
+    """
+    for name in BLAS_THREAD_VARS:
+        os.environ[name] = "1"
+    set_threads = _blas_function("set_num_threads", None, (ctypes.c_int,))
+    if set_threads is not None:
+        set_threads(1)
+
+
+def _cpu_model() -> Optional[str]:
+    try:
+        with open("/proc/cpuinfo") as stream:
+            for line in stream:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def numeric_environment() -> Dict:
+    """The numeric-environment stamp of this process.
+
+    numpy version, BLAS name and version, effective BLAS thread count,
+    CPU model, usable cores and Python version; the BLAS fields are None
+    when numpy is not on its bundled OpenBLAS.  Diagnostics only: the
+    stamp goes beside cell records (telemetry ``meta``, ``index.jsonl``),
+    never into them.
+    """
+    get_config = _blas_function("get_config", ctypes.c_char_p)
+    get_threads = _blas_function("get_num_threads", ctypes.c_int)
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        nproc = os.cpu_count()
+    return {
+        "numpy": np.__version__,
+        "blas": (get_config().decode(errors="replace").strip()
+                 if get_config is not None else None),
+        "blas_threads": int(get_threads()) if get_threads is not None else None,
+        "cpu": _cpu_model(),
+        "nproc": nproc,
+        "python": platform.python_version(),
+    }
 
 
 class ExecutionError(RuntimeError):
@@ -287,7 +389,8 @@ class ProcessBackend(ExecutionBackend):
             context = (multiprocessing.get_context(self.mp_context)
                        if self.mp_context else None)
             self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                             mp_context=context)
+                                             mp_context=context,
+                                             initializer=pin_blas_threads)
         return self._pool
 
     def register_clients(self, clients: Sequence) -> bool:

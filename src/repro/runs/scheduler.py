@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from ..eval.harness import run_experiment
-from ..fl.execution import resolve_backend
+from ..fl.execution import numeric_environment, resolve_backend
 from ..telemetry import Tracer, sidecar_lines
 from .serialize import RECORD_SCHEMA
 from .spec import RunKey, SweepSpec
@@ -160,18 +160,20 @@ class _CellTask:
             availability = key.config.availability
             if availability is not None and availability.is_active:
                 timing["churn"] = True
+            numerics = numeric_environment()
             store = RunStore(self.store_root)
             if columns:
                 # Sidecar first: a crash between the two writes leaves an
                 # unreferenced .npcol (harmless) rather than a record whose
                 # arrays are missing.
                 store.write_arrays(key, columns)
-            store.write_record(record, timing=timing)
+            store.write_record(record, timing=timing, numerics=numerics)
             if self.telemetry:
                 store.write_telemetry(key, sidecar_lines(tracer, meta={
                     "fingerprint": key.fingerprint,
                     "label": key.label(),
                     "resumed": resumed_mid_cell,
+                    "numerics": numerics,
                 }))
             if checkpoint_dir is not None:
                 # The authoritative cell record exists now; the mid-run

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .serialize import atomic_write_text, encode_record
 from .spec import RunKey, SweepSpec
 
 __all__ = ["RunStore", "ARRAYS_KEY", "TIMING_FIELDS", "RESUMED_FIELD",
-           "CHURN_FIELD"]
+           "CHURN_FIELD", "NUMERICS_FIELD"]
 
 ARRAYS_KEY = "__arrays__"
 """Reserved record key carrying in-memory array columns.
@@ -75,7 +75,15 @@ clients per round, so their wall clocks are not comparable with the full
 grid's — ``repro report --timings`` flags them the way it flags resumes."""
 
 
-def _index_entry(record: Dict, timing: Optional[Dict] = None) -> Dict:
+NUMERICS_FIELD = "numerics"
+"""The numeric-environment stamp of the process that computed the cell
+(:func:`repro.fl.execution.numeric_environment`), carried in
+``index.jsonl`` entries and never in the record itself.  Cells computed
+before stamping existed have none, and ``repro report`` flags them."""
+
+
+def _index_entry(record: Dict, timing: Optional[Dict] = None,
+                 numerics: Optional[Dict] = None) -> Dict:
     """The one-line ``index.jsonl`` shape (shared by append and rebuild)."""
     key = record.get("key", {})
     entry = {
@@ -93,6 +101,8 @@ def _index_entry(record: Dict, timing: Optional[Dict] = None) -> Dict:
             entry[RESUMED_FIELD] = True
         if timing.get(CHURN_FIELD):
             entry[CHURN_FIELD] = True
+    if numerics:
+        entry[NUMERICS_FIELD] = numerics
     return entry
 
 
@@ -132,26 +142,29 @@ class RunStore:
         return f"RunStore({str(self.root)!r}, cells={len(self)})"
 
     # ------------------------------------------------------------------
-    def write_record(self, record: Dict, timing: Optional[Dict] = None) -> Path:
+    def write_record(self, record: Dict, timing: Optional[Dict] = None,
+                     numerics: Optional[Dict] = None) -> Path:
         """Atomically persist one cell record and append its index line.
 
         ``timing`` (optional ``{"wall_clock_s": ..., "mean_round_s": ...}``)
-        is recorded in the index entry only — never in the cell record,
-        which must stay byte-identical across schedulers and hosts.
+        and ``numerics`` (the computing process's numeric-environment
+        stamp) are recorded in the index entry only — never in the cell
+        record, which must stay byte-identical across schedulers and hosts.
         """
         fingerprint = record.get("fingerprint")
         if not fingerprint:
             raise ValueError("record is missing its 'fingerprint' field")
         path = atomic_write_text(self.path_for(fingerprint), encode_record(record))
-        self._append_index(record, timing)
+        self._append_index(record, timing, numerics)
         return path
 
-    def _append_index(self, record: Dict, timing: Optional[Dict] = None) -> None:
+    def _append_index(self, record: Dict, timing: Optional[Dict] = None,
+                      numerics: Optional[Dict] = None) -> None:
         # One small single-line write in append mode: safe enough under
         # concurrent writers, and the index is a rebuildable cache anyway.
         # repro: allow[ATM001] -- append-only journal of a rebuildable cache; rebuild_index() is atomic
         with open(self.index_path, "a") as stream:
-            stream.write(json.dumps(_index_entry(record, timing),
+            stream.write(json.dumps(_index_entry(record, timing, numerics),
                                     sort_keys=True) + "\n")
 
     def read_record(self, key: Union[str, RunKey]) -> Dict:
@@ -199,40 +212,56 @@ class RunStore:
         ``{"resumed": True}`` (no comparable numbers exist for it).
         """
         timings: Dict[str, Dict[str, float]] = {}
+        for entry in self._index_entries():
+            timing = {name: float(entry[name]) for name in TIMING_FIELDS
+                      if entry.get(name) is not None}
+            if entry.get(RESUMED_FIELD):
+                timing[RESUMED_FIELD] = True
+            if entry.get(CHURN_FIELD):
+                timing[CHURN_FIELD] = True
+            if timing:
+                timings[entry["fingerprint"]] = timing
+        return timings
+
+    def numerics(self) -> Dict[str, Dict]:
+        """Per-cell numeric-environment stamp from ``index.jsonl``.
+
+        Last write wins, like :meth:`timings`.  Cells computed before
+        stamping existed are absent from the result.
+        """
+        return {entry["fingerprint"]: entry[NUMERICS_FIELD]
+                for entry in self._index_entries()
+                if entry.get(NUMERICS_FIELD)}
+
+    def _index_entries(self) -> Iterator[Dict]:
+        """Parsed ``index.jsonl`` lines in file order; torn lines skipped."""
         if not self.index_path.is_file():
-            return timings
+            return
         with open(self.index_path) as stream:
             for line in stream:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    entry = json.loads(line)
+                    yield json.loads(line)
                 except ValueError:
                     continue  # torn concurrent append; the index is a cache
-                timing = {name: float(entry[name]) for name in TIMING_FIELDS
-                          if entry.get(name) is not None}
-                if entry.get(RESUMED_FIELD):
-                    timing[RESUMED_FIELD] = True
-                if entry.get(CHURN_FIELD):
-                    timing[CHURN_FIELD] = True
-                if timing:
-                    timings[entry["fingerprint"]] = timing
-        return timings
 
     def rebuild_index(self) -> int:
         """Rewrite ``index.jsonl`` from the cell files, sorted by fingerprint.
 
         Returns the number of indexed cells.  Use after crashes or manual
         surgery on ``cells/`` — the cell files stay authoritative either
-        way.  Timings recorded in the old index are preserved (they exist
-        nowhere else); cells whose records vanished drop out along with
-        their timing.
+        way.  Timings and numeric stamps recorded in the old index are
+        preserved (they exist nowhere else); cells whose records vanished
+        drop out along with them.
         """
         old_timings = self.timings()
+        old_numerics = self.numerics()
         fingerprints = sorted(self.completed_fingerprints())
         lines = [json.dumps(_index_entry(self.read_record(fingerprint),
-                                         old_timings.get(fingerprint)),
+                                         old_timings.get(fingerprint),
+                                         old_numerics.get(fingerprint)),
                             sort_keys=True)
                  for fingerprint in fingerprints]
         atomic_write_text(self.index_path, "".join(line + "\n" for line in lines))

@@ -94,6 +94,30 @@ class TestRunStore:
             k.fingerprint for k in cells)
         assert {e["method"] for e in lines} == {"script-fair", "fedavg"}
 
+    def test_numeric_stamp_lives_in_the_index_only(self, tmp_path):
+        key = make_sweep().cells()[0]
+        stamp = {"numpy": "2.4.6", "blas": "OpenBLAS 0.3.31", "blas_threads": 1,
+                 "cpu": "test cpu", "nproc": 2, "python": "3.11.7"}
+        plain, stamped = RunStore(tmp_path / "plain"), RunStore(tmp_path / "stamped")
+        plain.write_record(fake_record(key))
+        stamped.write_record(fake_record(key), numerics=stamp)
+        assert (stamped.path_for(key).read_bytes()
+                == plain.path_for(key).read_bytes())
+        entry = json.loads(stamped.index_path.read_text())
+        assert entry["numerics"] == stamp
+        assert "numerics" not in json.loads(plain.index_path.read_text())
+        assert stamped.numerics() == {key.fingerprint: stamp}
+        assert plain.numerics() == {}
+
+    def test_rebuild_index_preserves_numeric_stamps(self, tmp_path):
+        store = RunStore(tmp_path)
+        stamped, unstamped = make_sweep().cells()
+        stamp = {"blas_threads": 1}
+        store.write_record(fake_record(stamped), numerics=stamp)
+        store.write_record(fake_record(unstamped))
+        store.rebuild_index()
+        assert store.numerics() == {stamped.fingerprint: stamp}
+
     def test_write_sweep_is_deterministic(self, tmp_path):
         store = RunStore(tmp_path)
         sweep = make_sweep()

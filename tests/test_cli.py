@@ -169,6 +169,53 @@ class TestSweepCommands:
         assert main(["report", "--across-seeds"] + base) == 0
         assert capsys.readouterr().out == first
 
+    def test_sweep_stamps_index_and_telemetry(self, capsys, tmp_path):
+        runs_dir = tmp_path / "store"
+        assert main(["sweep", "--quiet", "--runs-dir", str(runs_dir)]
+                    + TINY_SWEEP_ARGS) == 0
+        capsys.readouterr()
+        entries = [json.loads(line) for line in
+                   (runs_dir / "index.jsonl").read_text().splitlines()]
+        metas = [json.loads(path.read_text().splitlines()[0])
+                 for path in sorted((runs_dir / "telemetry").glob("*.jsonl"))]
+        assert len(entries) == len(metas) == 2
+        for stamped in entries + metas:
+            assert stamped["numerics"]["blas_threads"] in (1, None)
+            assert stamped["numerics"]["numpy"]
+        for path in (runs_dir / "cells").glob("*.json"):
+            assert "numerics" not in path.read_text()
+
+    def test_report_warns_on_mixed_numerics_on_stderr_only(self, capsys, tmp_path):
+        runs_dir = tmp_path / "store"
+        base = ["--runs-dir", str(runs_dir)] + TINY_SWEEP_ARGS
+        assert main(["sweep", "--quiet"] + base) == 0
+        capsys.readouterr()
+
+        assert main(["report"] + base) == 0
+        uniform = capsys.readouterr()
+        assert uniform.err == ""
+
+        index = runs_dir / "index.jsonl"
+        first, second = [json.loads(line) for line in index.read_text().splitlines()]
+        del first["numerics"]  # a cell computed before stamping existed
+        index.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        assert main(["report"] + base) == 0
+        mixed = capsys.readouterr()
+        assert mixed.out == uniform.out
+        assert len(mixed.err.splitlines()) == 1
+        assert "1 cell(s) unstamped" in mixed.err
+        assert "1 cell(s) {" in mixed.err
+
+        second["numerics"]["blas_threads"] = 4
+        first["numerics"] = dict(second["numerics"], blas_threads=1)
+        index.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        assert main(["report"] + base) == 0
+        mixed = capsys.readouterr()
+        assert mixed.out == uniform.out
+        assert '"blas_threads": 1' in mixed.err
+        assert '"blas_threads": 4' in mixed.err
+        assert "unstamped" not in mixed.err
+
     def test_run_resume_requires_checkpoints(self, capsys):
         assert main(["run", "--method", "script-fair", "--resume"]) == 2
         assert "--resume requires --checkpoints" in capsys.readouterr().err
