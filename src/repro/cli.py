@@ -43,7 +43,7 @@ import sys
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .analysis.cli import add_check_arguments, run_check_command
 from .eval import (
@@ -95,153 +95,296 @@ __all__ = ["main", "build_parser"]
 
 SWEEP_EXPERIMENTS = ("table1", "fig3", "fig4") + EMBEDDING_FIGURES
 FIGURE_CHOICES = tuple(sorted(EMBEDDING_FIGURES + ("fig3", "fig4")))
+_PANELS = {"fig3": FIG3_PANELS, "fig4": FIG4_PANELS}
 
 
 class _UsageError(Exception):
-    """A flag value the config or spec validation rejected; :func:`main`
-    prints it as one stderr line and exits 2."""
+    """A flag value the CLI, config or spec validation rejected;
+    :func:`main` prints it as one stderr line and exits 2."""
 
 
-def _add_population_arguments(parser: argparse.ArgumentParser) -> None:
-    """Population-plane knobs (availability churn + async aggregation).
+class _Flag(NamedTuple):
+    """Everything the CLI knows about one flag, written once.
 
-    Shared by ``run`` and the sweep-grid commands; all of them are
-    *semantic* (they change results and therefore cell hashes), and all
-    default to off so existing command lines reproduce existing bytes.
+    ``field`` names the ``FederatedConfig`` field the flag overrides
+    (``"availability.<name>"``: a field of its ``AvailabilitySpec``);
+    ``minimum`` is its lower bound, checked by :func:`main` after
+    parsing; ``grids`` lists the sweep grids it shapes when it is one of
+    :data:`_GRID_FLAGS`, which the ``repro report`` hint repeats.
     """
-    parser.add_argument("--availability", type=float, default=None,
-                        metavar="FRAC",
-                        help="stationary fraction of clients online per "
-                             "round (changes results/cell hashes; "
-                             "default: everyone, always)")
-    parser.add_argument("--churn", type=float, default=None, metavar="RATE",
-                        help="membership flip intensity in [0, 1]: 1 redraws "
-                             "who is online every round, values toward 0 "
-                             "make membership sticky (only meaningful with "
-                             "--availability < 1)")
-    parser.add_argument("--dropout", type=float, default=None, metavar="PROB",
-                        help="probability a sampled client drops mid-round "
-                             "before its update lands (changes results)")
-    parser.add_argument("--speed-spread", type=float, default=None,
-                        metavar="SIGMA",
-                        help="lognormal sigma of per-client speed "
-                             "multipliers; orders simulated completions "
-                             "under async aggregation")
-    parser.add_argument("--aggregation", default="sync",
-                        choices=list(AGGREGATION_POLICIES),
-                        help="server aggregation policy: 'sync' (default, "
-                             "the bitwise-deterministic contract), "
-                             "'buffered' (FedBuff-style flushes), or "
-                             "'staleness' (per-update staleness weighting)")
-    parser.add_argument("--aggregation-buffer", type=int, default=None,
-                        metavar="K",
-                        help="buffer size for --aggregation buffered "
-                             "(default: 10)")
-    parser.add_argument("--staleness-decay", type=float, default=None,
-                        metavar="D",
-                        help="staleness down-weighting exponent for the "
-                             "async policies (default: 0.5)")
+
+    options: Tuple[str, ...]
+    kwargs: Dict[str, Any]
+    field: Optional[str] = None
+    minimum: Optional[int] = None
+    grids: Tuple[str, ...] = SWEEP_EXPERIMENTS
+
+    @property
+    def dest(self) -> str:
+        return self.kwargs.get("dest", self.options[0].lstrip("-").replace("-", "_"))
+
+    def helped(self, text: str) -> "_Flag":
+        """The same flag with a command-specific help text."""
+        return self._replace(kwargs={**self.kwargs, "help": text})
 
 
-def _population_overrides(args) -> dict:
-    """``FederatedConfig`` overrides from the population-plane flags.
+def _flag(*options: str, field: Optional[str] = None,
+          minimum: Optional[int] = None,
+          grids: Tuple[str, ...] = SWEEP_EXPERIMENTS, **kwargs) -> _Flag:
+    return _Flag(options, kwargs, field, minimum, grids)
 
-    Empty when every flag is at its default, so the resulting config —
-    and every fingerprint derived from it — is byte-identical to a
-    pre-population command line.
+
+# Population-plane knobs (availability churn + async aggregation), shared
+# by ``run`` and the grid commands.  All are semantic (they change results
+# and therefore cell hashes), and all default to off so existing command
+# lines reproduce existing bytes.
+_POPULATION = (
+    _flag("--availability", type=float, default=None, metavar="FRAC",
+          field="availability.availability",
+          help="stationary fraction of clients online per round (changes "
+               "results/cell hashes; default: everyone, always)"),
+    _flag("--churn", type=float, default=None, metavar="RATE",
+          field="availability.churn",
+          help="membership flip intensity in [0, 1]: 1 redraws who is online "
+               "every round, values toward 0 make membership sticky (only "
+               "meaningful with --availability < 1)"),
+    _flag("--dropout", type=float, default=None, metavar="PROB",
+          field="availability.dropout",
+          help="probability a sampled client drops mid-round before its "
+               "update lands (changes results)"),
+    _flag("--speed-spread", type=float, default=None, metavar="SIGMA",
+          field="availability.speed_spread",
+          help="lognormal sigma of per-client speed multipliers; orders "
+               "simulated completions under async aggregation"),
+    _flag("--aggregation", default="sync", choices=list(AGGREGATION_POLICIES),
+          field="aggregation",
+          help="server aggregation policy: 'sync' (default, the "
+               "bitwise-deterministic contract), 'buffered' (FedBuff-style "
+               "flushes), or 'staleness' (per-update staleness weighting)"),
+    _flag("--aggregation-buffer", type=int, default=None, metavar="K",
+          field="aggregation_buffer",
+          help="buffer size for --aggregation buffered (default: 10)"),
+    _flag("--staleness-decay", type=float, default=None, metavar="D",
+          field="staleness_decay",
+          help="staleness down-weighting exponent for the async policies "
+               "(default: 0.5)"),
+)
+
+# Flags that *define* a sweep grid, shared by ``sweep``, ``report`` and
+# ``figures``: those commands rebuild the same grid to know which
+# content-hashed cells to read, so each must be given identically to every
+# command, and the ``repro report`` hint repeats them.
+_GRID_FLAGS = (
+    _flag("--seeds", type=int, nargs="+", default=[0],
+          help="seed axis of the grid (default: 0)"),
+    _flag("--methods", nargs="*", default=None,
+          help="method subset (default: the artifact's full list)"),
+    _flag("--rounds", type=int, default=None, field="rounds",
+          help="override config rounds (changes cell hashes)"),
+    _flag("--clients", type=int, default=None, field="num_clients",
+          help="override config num_clients (changes cell hashes)"),
+    _flag("--samples", type=int, default=None,
+          help="override samples per client (changes cell hashes)"),
+    _flag("--novel", type=int, default=6, grids=("fig4",),
+          help="novel clients per cell (fig4 only)"),
+    _flag("--embed-clients", type=int, default=None,
+          help="clients sampled into an embedding figure (changes cell "
+               "hashes; embedding grids only)"),
+    _flag("--embed-samples", type=int, default=None,
+          help="samples embedded per client (changes cell hashes; "
+               "embedding grids only)"),
+    _flag("--tsne-iterations", type=int, default=None,
+          help="t-SNE gradient steps (changes cell hashes; embedding grids "
+               "only)"),
+) + _POPULATION
+
+# ``figures`` names its artifact positionally, so it takes no --exp.
+_GRID = (
+    _flag("--panel", type=int, default=0,
+          help="panel index for fig3 (0-3) / fig4 (0-1)"),
+    _flag("--runs-dir", "--store", dest="runs_dir", required=True,
+          metavar="DIR",
+          help="run-store directory (created on demand by 'sweep'; --store "
+               "is an alias)"),
+) + _GRID_FLAGS
+_EXP = _flag("--exp", "--grid", dest="exp", required=True,
+             choices=SWEEP_EXPERIMENTS,
+             help="which paper artifact's grid to use (--grid is an alias)")
+
+_CLIENT_BATCH = _flag("--client-batch", type=int, default=None, metavar="K",
+                      field="client_batch", minimum=1)
+_CHECKPOINT_EVERY = _flag("--checkpoint-every", type=int, default=1,
+                          metavar="K", minimum=1)
+_SEED = _flag("--seed", type=int, default=0)
+
+# The flags of every command but ``list`` and ``check`` (whose flags
+# ``repro.analysis.cli`` owns), in registration and therefore --help order.
+_COMMAND_FLAGS: Dict[str, Tuple[_Flag, ...]] = {
+    "run": (
+        _flag("--method", action="append", required=True,
+              help="method name (repeatable)"),
+        _flag("--dataset", default="cifar10",
+              choices=["cifar10", "cifar100", "stl10"]),
+        _flag("--setting", default="quantity",
+              choices=["quantity", "dirichlet", "iid"]),
+        _flag("--param", type=float, default=2.0,
+              help="classes per client (quantity) or concentration"),
+        _flag("--samples", type=int, default=50, help="samples per client"),
+        _flag("--rounds", type=int, default=SCALED_CONFIG.rounds,
+              field="rounds"),
+        _flag("--clients", type=int, default=SCALED_CONFIG.num_clients,
+              field="num_clients"),
+        _SEED._replace(field="seed"),
+        _flag("--backend", default="serial", choices=available_backends(),
+              field="backend",
+              help="client-execution engine; results are identical across "
+                   "backends (default: serial)"),
+        _flag("--workers", type=int, default=None, field="workers", minimum=1,
+              help="worker count for parallel backends (default: all cores)"),
+        _CLIENT_BATCH.helped(
+            "cohort-vectorized client execution: omit for auto (batch "
+            "homogeneous cohorts whole), 1 to disable, K>=2 to cap cohort "
+            "size; results are bitwise identical either way"),
+        _flag("--shared-memory", default="auto", choices=["auto", "on", "off"],
+              help="zero-copy shared-memory client-data plane (process "
+                   "backend only): 'auto' enables it when available, 'on' "
+                   "warns if it cannot activate, 'off' pickles datasets "
+                   "inline"),
+        _flag("--csv", action="store_true", help="also print the CSV series"),
+        _flag("--out", default=None, metavar="PATH",
+              help="persist the full ExperimentOutcome as JSON (same "
+                   "serializer as the sweep run store)"),
+        _flag("--checkpoints", default=None, metavar="DIR",
+              help="write a round-level session checkpoint per method under "
+                   "DIR (atomic, one file per method, overwritten each "
+                   "round)"),
+        _flag("--resume", action="store_true",
+              help="resume each method from its checkpoint in --checkpoints "
+                   "if one exists; only the remaining rounds recompute and "
+                   "the result is bitwise identical to an uninterrupted run"),
+        _CHECKPOINT_EVERY.helped(
+            "checkpoint after every K-th round (default: 1; larger K trades "
+            "at most K-1 recomputed rounds for less write I/O)"),
+        _flag("--trace-out", default=None, metavar="PATH",
+              help="record span telemetry for the whole run and write it as "
+                   "Chrome trace-event JSON (open in Perfetto or "
+                   "chrome://tracing); results are identical with or "
+                   "without it"),
+    ) + _POPULATION,
+    "fig3": (
+        _flag("--panel", type=int, default=0, choices=range(len(FIG3_PANELS))),
+        _SEED,
+        _flag("--methods", nargs="*", default=None),
+    ),
+    "fig4": (
+        _flag("--panel", type=int, default=0, choices=range(len(FIG4_PANELS))),
+        _SEED,
+        _flag("--novel", type=int, default=6, help="number of novel clients"),
+    ),
+    "table1": (_SEED,),
+    "sweep": (_EXP,) + _GRID + (
+        _flag("--scheduler", default="serial", choices=available_backends(),
+              help="experiment-level execution backend; cell results are "
+                   "identical across schedulers (default: serial)"),
+        _flag("--jobs", type=int, default=None, minimum=1,
+              help="concurrent cells for parallel schedulers (default: all "
+                   "cores)"),
+        _CLIENT_BATCH.helped(
+            "cohort-vectorized client execution inside each cell: omit for "
+            "auto, 1 to disable, K>=2 to cap cohort size; store bytes are "
+            "identical either way"),
+        _flag("--max-cells", type=int, default=None, minimum=0,
+              help="execute at most N pending cells this pass (budgeted/smoke "
+                   "runs); the rest defer"),
+        _flag("--round-checkpoints", action="store_true",
+              help="checkpoint in-flight cells per round under "
+                   "<runs-dir>/checkpoints/; a killed sweep resumes mid-cell "
+                   "from the last finished round instead of restarting the "
+                   "cell"),
+        _CHECKPOINT_EVERY.helped(
+            "with --round-checkpoints: checkpoint after every K-th round "
+            "(default: 1)"),
+        _flag("--no-telemetry", action="store_true",
+              help="skip the per-cell telemetry/<hash>.jsonl span sidecars "
+                   "(store records are byte-identical either way)"),
+        _flag("--trace-out", default=None, metavar="PATH",
+              help="after the sweep, combine the store's telemetry sidecars "
+                   "into one Chrome trace-event JSON (one process row per "
+                   "cell; open in Perfetto)"),
+        _flag("--quiet", action="store_true",
+              help="suppress per-cell progress lines"),
+    ),
+    "report": (_EXP,) + _GRID + (
+        _flag("--csv", action="store_true",
+              help="also print the CSV series (fig3/fig4)"),
+        _flag("--across-seeds", action="store_true",
+              help="collapse the seed axis into mean ± std rows instead of "
+                   "printing one table per seed"),
+        _flag("--timings", action="store_true",
+              help="also print per-cell wall-clock (and mean per-round time) "
+                   "recorded in the store's index.jsonl"),
+    ),
+    "figures": (
+        _flag("figure", choices=FIGURE_CHOICES,
+              help="which paper figure to render"),
+    ) + _GRID + (
+        _flag("--seed", type=int, default=None,
+              help="which seed's records to render (default: the grid's "
+                   "single seed; required when --seeds lists several)"),
+        _flag("--out", default=None, metavar="PATH",
+              help="output SVG path (default: <figure>.svg, fig3/fig4: "
+                   "<figure>-panel<P>.svg)"),
+    ),
+    "profile": (
+        _flag("store", metavar="DIR",
+              help="run-store directory (the --runs-dir of a sweep run with "
+                   "telemetry on)"),
+        _flag("--top", type=int, default=0, metavar="N", minimum=0,
+              help="show only the N busiest workers per cell (default: "
+                   "all)"),
+    ),
+}
+
+
+def _check_bounds(args) -> None:
+    """Reject any flag of the parsed command that is below its minimum."""
+    for flag in _COMMAND_FLAGS.get(args.command, ()):
+        value = getattr(args, flag.dest)
+        if flag.minimum is not None and value is not None and value < flag.minimum:
+            raise _UsageError(f"{flag.options[0]} must be >= {flag.minimum}, "
+                              f"got {value}")
+
+
+def _config_overrides(args, flags) -> dict:
+    """``FederatedConfig`` overrides from the ``flags`` that name a config
+    field and were moved off their defaults.
+
+    Empty when every such flag is at its default, so the resulting config —
+    and every fingerprint derived from it — is byte-identical to one built
+    from a command line without them.
     """
-    overrides = {}
-    if (args.availability is not None or args.churn is not None
-            or args.dropout is not None or args.speed_spread is not None):
-        try:
-            overrides["availability"] = AvailabilitySpec(
-                availability=(1.0 if args.availability is None
-                              else args.availability),
-                churn=1.0 if args.churn is None else args.churn,
-                dropout=0.0 if args.dropout is None else args.dropout,
-                speed_spread=(0.0 if args.speed_spread is None
-                              else args.speed_spread),
-            )
-        except ValueError as error:
-            raise SystemExit(f"availability flags: {error}") from error
-    if args.aggregation != "sync":
-        overrides["aggregation"] = args.aggregation
-    if args.aggregation_buffer is not None:
-        if args.aggregation_buffer < 1:
-            raise SystemExit(f"--aggregation-buffer must be >= 1, "
-                             f"got {args.aggregation_buffer}")
-        overrides["aggregation_buffer"] = args.aggregation_buffer
-    if args.staleness_decay is not None:
-        if args.staleness_decay < 0:
-            raise SystemExit(f"--staleness-decay must be >= 0, "
-                             f"got {args.staleness_decay}")
-        overrides["staleness_decay"] = args.staleness_decay
+    overrides, availability = {}, {}
+    for flag in flags:
+        value = getattr(args, flag.dest)
+        if flag.field is None or value == flag.kwargs.get("default"):
+            continue
+        field, _, spec_field = flag.field.partition(".")
+        if spec_field:
+            availability[spec_field] = value
+        else:
+            overrides[field] = value
+    if availability:
+        overrides["availability"] = AvailabilitySpec(**availability)
+    if "num_clients" in overrides:
+        overrides["clients_per_round"] = min(SCALED_CONFIG.clients_per_round,
+                                             overrides["num_clients"])
     return overrides
 
 
-def _population_flags(args) -> List[str]:
-    """Echo the population-plane flags (for ``repro report`` hints)."""
-    parts = []
-    if args.availability is not None:
-        parts.append(f"--availability {args.availability}")
-    if args.churn is not None:
-        parts.append(f"--churn {args.churn}")
-    if args.dropout is not None:
-        parts.append(f"--dropout {args.dropout}")
-    if args.speed_spread is not None:
-        parts.append(f"--speed-spread {args.speed_spread}")
-    if args.aggregation != "sync":
-        parts.append(f"--aggregation {args.aggregation}")
-    if args.aggregation_buffer is not None:
-        parts.append(f"--aggregation-buffer {args.aggregation_buffer}")
-    if args.staleness_decay is not None:
-        parts.append(f"--staleness-decay {args.staleness_decay}")
-    return parts
-
-
-def _add_sweep_grid_arguments(parser: argparse.ArgumentParser,
-                              experiment_flag: bool = True) -> None:
-    """Flags that *define* a sweep grid — shared by ``sweep``, ``report``
-    and ``figures``.
-
-    ``report``/``figures`` rebuild the same grid to know which
-    content-hashed cells to read, so any flag here that changes results
-    must be given identically to every command.  ``figures`` names its
-    artifact positionally, so it skips the ``--exp`` flag.
-    """
-    if experiment_flag:
-        parser.add_argument("--exp", "--grid", dest="exp", required=True,
-                            choices=SWEEP_EXPERIMENTS,
-                            help="which paper artifact's grid to use "
-                                 "(--grid is an alias)")
-    parser.add_argument("--panel", type=int, default=0,
-                        help="panel index for fig3 (0-3) / fig4 (0-1)")
-    parser.add_argument("--runs-dir", "--store", dest="runs_dir", required=True,
-                        metavar="DIR",
-                        help="run-store directory (created on demand by "
-                             "'sweep'; --store is an alias)")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0],
-                        help="seed axis of the grid (default: 0)")
-    parser.add_argument("--methods", nargs="*", default=None,
-                        help="method subset (default: the artifact's full list)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="override config rounds (changes cell hashes)")
-    parser.add_argument("--clients", type=int, default=None,
-                        help="override config num_clients (changes cell hashes)")
-    parser.add_argument("--samples", type=int, default=None,
-                        help="override samples per client (changes cell hashes)")
-    parser.add_argument("--novel", type=int, default=6,
-                        help="novel clients per cell (fig4 only)")
-    parser.add_argument("--embed-clients", type=int, default=None,
-                        help="clients sampled into an embedding figure "
-                             "(changes cell hashes; embedding grids only)")
-    parser.add_argument("--embed-samples", type=int, default=None,
-                        help="samples embedded per client "
-                             "(changes cell hashes; embedding grids only)")
-    parser.add_argument("--tsne-iterations", type=int, default=None,
-                        help="t-SNE gradient steps "
-                             "(changes cell hashes; embedding grids only)")
-    _add_population_arguments(parser)
+def _check_methods(methods) -> None:
+    unknown = [m for m in methods if m not in available_methods()]
+    if unknown:
+        raise _UsageError(f"unknown methods: {unknown}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,175 +392,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Calibre reproduction command-line interface"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     sub.add_parser("list", help="list methods and experiment panels")
-
-    check_parser = sub.add_parser(
+    add_check_arguments(sub.add_parser(
         "check",
         help="run the static invariant checker over the codebase",
         description="AST-check src/, benchmarks/ and examples/ against the "
                     "repo's determinism, atomicity, fingerprint, layering, "
                     "tracing and pickling contracts (docs/invariants.md). "
                     "Exit 0 means every invariant holds; 'python -m "
-                    "repro.analysis' is the stdlib-only spelling.")
-    add_check_arguments(check_parser)
-
-    run_parser = sub.add_parser("run", help="run methods on one workload")
-    run_parser.add_argument("--method", action="append", required=True,
-                            help="method name (repeatable)")
-    run_parser.add_argument("--dataset", default="cifar10",
-                            choices=["cifar10", "cifar100", "stl10"])
-    run_parser.add_argument("--setting", default="quantity",
-                            choices=["quantity", "dirichlet", "iid"])
-    run_parser.add_argument("--param", type=float, default=2.0,
-                            help="classes per client (quantity) or concentration")
-    run_parser.add_argument("--samples", type=int, default=50,
-                            help="samples per client")
-    run_parser.add_argument("--rounds", type=int, default=SCALED_CONFIG.rounds)
-    run_parser.add_argument("--clients", type=int, default=SCALED_CONFIG.num_clients)
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--backend", default="serial",
-                            choices=available_backends(),
-                            help="client-execution engine; results are identical "
-                                 "across backends (default: serial)")
-    run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker count for parallel backends "
-                                 "(default: all cores)")
-    run_parser.add_argument("--client-batch", type=int, default=None,
-                            metavar="K",
-                            help="cohort-vectorized client execution: omit "
-                                 "for auto (batch homogeneous cohorts whole), "
-                                 "1 to disable, K>=2 to cap cohort size; "
-                                 "results are bitwise identical either way")
-    run_parser.add_argument("--shared-memory", default="auto",
-                            choices=["auto", "on", "off"],
-                            help="zero-copy shared-memory client-data plane "
-                                 "(process backend only): 'auto' enables it "
-                                 "when available, 'on' warns if it cannot "
-                                 "activate, 'off' pickles datasets inline")
-    run_parser.add_argument("--csv", action="store_true",
-                            help="also print the CSV series")
-    run_parser.add_argument("--out", default=None, metavar="PATH",
-                            help="persist the full ExperimentOutcome as JSON "
-                                 "(same serializer as the sweep run store)")
-    run_parser.add_argument("--checkpoints", default=None, metavar="DIR",
-                            help="write a round-level session checkpoint per "
-                                 "method under DIR (atomic, one file per "
-                                 "method, overwritten each round)")
-    run_parser.add_argument("--resume", action="store_true",
-                            help="resume each method from its checkpoint in "
-                                 "--checkpoints if one exists; only the "
-                                 "remaining rounds recompute and the result "
-                                 "is bitwise identical to an uninterrupted run")
-    run_parser.add_argument("--checkpoint-every", type=int, default=1,
-                            metavar="K",
-                            help="checkpoint after every K-th round "
-                                 "(default: 1; larger K trades at most K-1 "
-                                 "recomputed rounds for less write I/O)")
-    run_parser.add_argument("--trace-out", default=None, metavar="PATH",
-                            help="record span telemetry for the whole run "
-                                 "and write it as Chrome trace-event JSON "
-                                 "(open in Perfetto or chrome://tracing); "
-                                 "results are identical with or without it")
-    _add_population_arguments(run_parser)
-
-    fig3_parser = sub.add_parser("fig3", help="regenerate one Fig. 3 panel")
-    fig3_parser.add_argument("--panel", type=int, default=0,
-                             choices=range(len(FIG3_PANELS)))
-    fig3_parser.add_argument("--seed", type=int, default=0)
-    fig3_parser.add_argument("--methods", nargs="*", default=None)
-
-    fig4_parser = sub.add_parser("fig4", help="regenerate one Fig. 4 panel")
-    fig4_parser.add_argument("--panel", type=int, default=0,
-                             choices=range(len(FIG4_PANELS)))
-    fig4_parser.add_argument("--seed", type=int, default=0)
-    fig4_parser.add_argument("--novel", type=int, default=6,
-                             help="number of novel clients")
-
-    table1_parser = sub.add_parser("table1", help="regenerate Table I")
-    table1_parser.add_argument("--seed", type=int, default=0)
-
-    sweep_parser = sub.add_parser(
+                    "repro.analysis' is the stdlib-only spelling."))
+    sub.add_parser("run", help="run methods on one workload")
+    sub.add_parser("fig3", help="regenerate one Fig. 3 panel")
+    sub.add_parser("fig4", help="regenerate one Fig. 4 panel")
+    sub.add_parser("table1", help="regenerate Table I")
+    sub.add_parser(
         "sweep",
         help="run a paper artifact as a persistent, resumable sweep",
         description="Expand an artifact's grid into content-hashed cells, "
                     "skip the ones already in the run store, and dispatch "
                     "the rest; a killed sweep resumes instead of restarting.")
-    _add_sweep_grid_arguments(sweep_parser)
-    sweep_parser.add_argument("--scheduler", default="serial",
-                              choices=available_backends(),
-                              help="experiment-level execution backend; cell "
-                                   "results are identical across schedulers "
-                                   "(default: serial)")
-    sweep_parser.add_argument("--jobs", type=int, default=None,
-                              help="concurrent cells for parallel schedulers "
-                                   "(default: all cores)")
-    sweep_parser.add_argument("--client-batch", type=int, default=None,
-                              metavar="K",
-                              help="cohort-vectorized client execution inside "
-                                   "each cell: omit for auto, 1 to disable, "
-                                   "K>=2 to cap cohort size; store bytes are "
-                                   "identical either way")
-    sweep_parser.add_argument("--max-cells", type=int, default=None,
-                              help="execute at most N pending cells this pass "
-                                   "(budgeted/smoke runs); the rest defer")
-    sweep_parser.add_argument("--round-checkpoints", action="store_true",
-                              help="checkpoint in-flight cells per round under "
-                                   "<runs-dir>/checkpoints/; a killed sweep "
-                                   "resumes mid-cell from the last finished "
-                                   "round instead of restarting the cell")
-    sweep_parser.add_argument("--checkpoint-every", type=int, default=1,
-                              metavar="K",
-                              help="with --round-checkpoints: checkpoint "
-                                   "after every K-th round (default: 1)")
-    sweep_parser.add_argument("--no-telemetry", action="store_true",
-                              help="skip the per-cell telemetry/<hash>.jsonl "
-                                   "span sidecars (store records are "
-                                   "byte-identical either way)")
-    sweep_parser.add_argument("--trace-out", default=None, metavar="PATH",
-                              help="after the sweep, combine the store's "
-                                   "telemetry sidecars into one Chrome "
-                                   "trace-event JSON (one process row per "
-                                   "cell; open in Perfetto)")
-    sweep_parser.add_argument("--quiet", action="store_true",
-                              help="suppress per-cell progress lines")
-
-    report_parser = sub.add_parser(
+    sub.add_parser(
         "report",
         help="regenerate an artifact's tables from the run store (no retraining)",
         description="Rebuild the same grid as 'repro sweep' and render its "
                     "tables purely from stored cell records.")
-    _add_sweep_grid_arguments(report_parser)
-    report_parser.add_argument("--csv", action="store_true",
-                               help="also print the CSV series (fig3/fig4)")
-    report_parser.add_argument("--across-seeds", action="store_true",
-                               help="collapse the seed axis into mean ± std "
-                                    "rows instead of printing one table per "
-                                    "seed")
-    report_parser.add_argument("--timings", action="store_true",
-                               help="also print per-cell wall-clock (and "
-                                    "mean per-round time) recorded in the "
-                                    "store's index.jsonl")
-
-    figures_parser = sub.add_parser(
+    sub.add_parser(
         "figures",
         help="render a paper figure as SVG from the run store (no retraining)",
         description="Rebuild a figure's sweep grid, read its records from "
                     "the run store, and write the figure as a standalone "
                     "SVG — embedding figures (fig1/2/5-8) and the "
                     "accuracy-fairness scatters (fig3/fig4) alike.")
-    figures_parser.add_argument("figure", choices=FIGURE_CHOICES,
-                                help="which paper figure to render")
-    _add_sweep_grid_arguments(figures_parser, experiment_flag=False)
-    figures_parser.add_argument("--seed", type=int, default=None,
-                                help="which seed's records to render "
-                                     "(default: the grid's single seed; "
-                                     "required when --seeds lists several)")
-    figures_parser.add_argument("--out", default=None, metavar="PATH",
-                                help="output SVG path (default: <figure>.svg, "
-                                     "fig3/fig4: <figure>-panel<P>.svg)")
-
-    profile_parser = sub.add_parser(
+    sub.add_parser(
         "profile",
         help="summarize a run store's telemetry sidecars (hot phases, "
              "stragglers, counters)",
@@ -427,13 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "spread: slowest client minus the round median), "
                     "per-worker utilization, and counter totals. Purely "
                     "read-only diagnostics.")
-    profile_parser.add_argument("store", metavar="DIR",
-                                help="run-store directory (the --runs-dir of "
-                                     "a sweep run with telemetry on)")
-    profile_parser.add_argument("--top", type=int, default=0, metavar="N",
-                                help="show only the N busiest workers per "
-                                     "cell (default: all)")
-
+    for command, flags in _COMMAND_FLAGS.items():
+        for flag in flags:
+            sub.choices[command].add_argument(*flag.options, **flag.kwargs)
     return parser
 
 
@@ -444,12 +446,10 @@ def _command_list() -> int:
     print("\nexecution backends:")
     for name in available_backends():
         print(f"  {name}")
-    print("\nfig3 panels:")
-    for index, (dataset, label, setting) in enumerate(FIG3_PANELS):
-        print(f"  {index}: {dataset} paper:{label} scaled:{setting.label()}")
-    print("\nfig4 panels:")
-    for index, (dataset, label, setting) in enumerate(FIG4_PANELS):
-        print(f"  {index}: {dataset} paper:{label} scaled:{setting.label()}")
+    for experiment, panels in _PANELS.items():
+        print(f"\n{experiment} panels:")
+        for index, (dataset, label, setting) in enumerate(panels):
+            print(f"  {index}: {dataset} paper:{label} scaled:{setting.label()}")
     print("\nsweep experiments (repro sweep/report --exp ...):")
     for name in SWEEP_EXPERIMENTS:
         print(f"  {name}")
@@ -460,32 +460,13 @@ def _command_list() -> int:
 
 
 def _command_run(args) -> int:
-    unknown = [m for m in args.method if m not in available_methods()]
-    if unknown:
-        print(f"unknown methods: {unknown}", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
-    if args.client_batch is not None and args.client_batch < 1:
-        print(f"--client-batch must be >= 1, got {args.client_batch}",
-              file=sys.stderr)
-        return 2
+    _check_methods(args.method)
     if args.resume and not args.checkpoints:
-        print("--resume requires --checkpoints DIR", file=sys.stderr)
-        return 2
-    if args.checkpoint_every < 1:
-        print(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}",
-              file=sys.stderr)
-        return 2
+        raise _UsageError("--resume requires --checkpoints DIR")
     try:
         config = SCALED_CONFIG.with_overrides(
-            rounds=args.rounds, num_clients=args.clients,
-            clients_per_round=min(SCALED_CONFIG.clients_per_round, args.clients),
-            seed=args.seed, backend=args.backend, workers=args.workers,
             shared_memory={"auto": None, "on": True, "off": False}[args.shared_memory],
-            client_batch=args.client_batch,
-            **_population_overrides(args),
+            **_config_overrides(args, _COMMAND_FLAGS["run"]),
         )
         spec = scaled_spec(
             args.dataset,
@@ -532,91 +513,54 @@ def _command_run(args) -> int:
 
 def _build_sweep(args, experiment: Optional[str] = None):
     """Build the (deterministic) sweep grid described by CLI flags."""
+    experiment = experiment if experiment is not None else args.exp
+    _check_methods(args.methods or ())
     try:
-        return _sweep_grid(args, experiment)
+        overrides = _config_overrides(args, _GRID_FLAGS)
+        config = SCALED_CONFIG.with_overrides(**overrides) if overrides else None
+        if experiment in EMBEDDING_FIGURES:
+            return embeddings_sweep(
+                experiment, methods=args.methods or None, seeds=args.seeds,
+                config=config, samples_per_client=args.samples,
+                embed_clients=args.embed_clients,
+                embed_samples=args.embed_samples,
+                tsne_iterations=args.tsne_iterations,
+            )
+        if experiment == "table1":
+            setting = TABLE1_SETTING
+            if args.samples is not None:
+                setting = replace(setting, samples_per_client=args.samples)
+            return table1_sweep(variants=args.methods or TABLE1_VARIANTS,
+                                seeds=args.seeds, setting=setting, config=config)
+        try:
+            if experiment == "fig3":
+                return fig3_sweep(args.panel, methods=args.methods,
+                                  seeds=args.seeds, config=config,
+                                  samples_per_client=args.samples)
+            return fig4_sweep(args.panel, methods=args.methods, seeds=args.seeds,
+                              num_novel_clients=args.novel, config=config,
+                              samples_per_client=args.samples)
+        except IndexError as error:  # no such panel
+            raise _UsageError(f"--panel: {error}") from error
     except ValueError as error:
         raise _UsageError(error) from error
-
-
-def _sweep_grid(args, experiment: Optional[str]):
-    experiment = experiment if experiment is not None else args.exp
-    if args.methods:
-        unknown = [m for m in args.methods if m not in available_methods()]
-        if unknown:
-            raise SystemExit(f"unknown methods: {unknown}")
-    overrides = {}
-    if args.rounds is not None:
-        overrides["rounds"] = args.rounds
-    if args.clients is not None:
-        overrides["num_clients"] = args.clients
-        overrides["clients_per_round"] = min(SCALED_CONFIG.clients_per_round,
-                                             args.clients)
-    overrides.update(_population_overrides(args))
-    config = SCALED_CONFIG.with_overrides(**overrides) if overrides else None
-
-    if experiment in EMBEDDING_FIGURES:
-        return embeddings_sweep(
-            experiment, methods=args.methods or None, seeds=args.seeds,
-            config=config, samples_per_client=args.samples,
-            embed_clients=args.embed_clients, embed_samples=args.embed_samples,
-            tsne_iterations=args.tsne_iterations,
-        )
-    if experiment == "table1":
-        setting = TABLE1_SETTING
-        if args.samples is not None:
-            setting = replace(setting, samples_per_client=args.samples)
-        return table1_sweep(variants=args.methods or TABLE1_VARIANTS,
-                            seeds=args.seeds, setting=setting, config=config)
-    try:
-        if experiment == "fig3":
-            sweep = fig3_sweep(args.panel, methods=args.methods, seeds=args.seeds,
-                               config=config, samples_per_client=args.samples)
-        else:
-            sweep = fig4_sweep(args.panel, methods=args.methods, seeds=args.seeds,
-                               num_novel_clients=args.novel, config=config,
-                               samples_per_client=args.samples)
-    except IndexError as error:
-        raise SystemExit(f"--panel: {error}") from error
-    return sweep
 
 
 def _grid_flags(args) -> str:
     """Echo the grid-defining flags so a hinted ``repro report`` command
     rebuilds exactly the swept grid (fingerprints must match the store)."""
     parts = [f"--exp {args.exp}", f"--runs-dir {args.runs_dir}"]
-    if args.exp in ("fig3", "fig4"):
+    if args.exp in _PANELS:
         parts.append(f"--panel {args.panel}")
-    if args.seeds != [0]:
-        parts.append("--seeds " + " ".join(str(seed) for seed in args.seeds))
-    if args.methods:
-        parts.append("--methods " + " ".join(args.methods))
-    if args.rounds is not None:
-        parts.append(f"--rounds {args.rounds}")
-    if args.clients is not None:
-        parts.append(f"--clients {args.clients}")
-    if args.samples is not None:
-        parts.append(f"--samples {args.samples}")
-    if args.exp == "fig4" and args.novel != 6:
-        parts.append(f"--novel {args.novel}")
-    if args.embed_clients is not None:
-        parts.append(f"--embed-clients {args.embed_clients}")
-    if args.embed_samples is not None:
-        parts.append(f"--embed-samples {args.embed_samples}")
-    if args.tsne_iterations is not None:
-        parts.append(f"--tsne-iterations {args.tsne_iterations}")
-    parts.extend(_population_flags(args))
+    for flag in _GRID_FLAGS:
+        value = getattr(args, flag.dest)
+        if args.exp in flag.grids and value not in (flag.kwargs.get("default"), []):
+            values = value if isinstance(value, list) else [value]
+            parts.append(" ".join([flag.options[0], *map(str, values)]))
     return " ".join(parts)
 
 
 def _command_sweep(args) -> int:
-    if args.checkpoint_every < 1:
-        print(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}",
-              file=sys.stderr)
-        return 2
-    if args.client_batch is not None and args.client_batch < 1:
-        print(f"--client-batch must be >= 1, got {args.client_batch}",
-              file=sys.stderr)
-        return 2
     sweep = _build_sweep(args)
     store = RunStore(args.runs_dir)
     executor = (execute_embedding_cell if args.exp in EMBEDDING_FIGURES
@@ -656,6 +600,33 @@ def _command_sweep(args) -> int:
 
 def _report_title(base: str, seed: int, many_seeds: bool) -> str:
     return f"{base} [seed {seed}]" if many_seeds else base
+
+
+def _panel_name(experiment: str, panel: int) -> str:
+    dataset, paper_label, _setting = _PANELS[experiment][panel]
+    return f"{experiment}-panel{panel} {dataset} paper:{paper_label}"
+
+
+def _open_store(root: str) -> Optional[RunStore]:
+    """The existing run store at ``root``, or None after saying why not."""
+    try:
+        return RunStore(root, create=False)
+    except FileNotFoundError as error:
+        print(error, file=sys.stderr)
+        return None
+
+
+def _missing_cells(store: RunStore, cells, next_step: str) -> bool:
+    """List on stderr the ``cells`` the store lacks; True if there are any."""
+    missing = store.missing(cells)
+    if missing:
+        print(f"{len(missing)} of {len(cells)} cells missing from {store.root}; "
+              f"{next_step}:", file=sys.stderr)
+        for key in missing[:10]:
+            print(f"  {key.fingerprint}  {key.label()}", file=sys.stderr)
+        if len(missing) > 10:
+            print(f"  ... and {len(missing) - 10} more", file=sys.stderr)
+    return bool(missing)
 
 
 def _print_timings(store: RunStore, cells) -> None:
@@ -763,22 +734,20 @@ def _silhouette_pairs(cells, records):
     return per_method
 
 
-def _report_across_seeds(args, cells, records) -> int:
+def _report_across_seeds(args, cells, records) -> None:
     seeds_label = f"[across seeds {' '.join(str(s) for s in args.seeds)}]"
     if args.exp in EMBEDDING_FIGURES:
         print(format_silhouette_across_seeds(
             _silhouette_pairs(cells, records),
             title=f"{args.exp} silhouettes {seeds_label}"))
-        return 0
+        return
     if args.exp == "table1":
         rows = table1_rows_across_seeds(
             cells, records, variants=args.methods or TABLE1_VARIANTS,
             seeds=args.seeds)
         print(format_ablation_table(rows, title=f"Table I {seeds_label}"))
-        return 0
-    panels = FIG3_PANELS if args.exp == "fig3" else FIG4_PANELS
-    dataset, paper_label, _setting = panels[args.panel]
-    name = f"{args.exp}-panel{args.panel} {dataset} paper:{paper_label}"
+        return
+    name = _panel_name(args.exp, args.panel)
     print(format_across_seeds_table(_across_seeds_pairs(cells, records),
                                     title=f"{name} {seeds_label}"))
     novel_pairs = _across_seeds_pairs(cells, records, novel=True)
@@ -786,40 +755,13 @@ def _report_across_seeds(args, cells, records) -> int:
         print()
         print(format_across_seeds_table(
             novel_pairs, title=f"{name} [novel] {seeds_label}"))
-    return 0
 
 
-def _command_report(args) -> int:
-    sweep = _build_sweep(args)
-    try:
-        store = RunStore(args.runs_dir, create=False)
-    except FileNotFoundError as error:
-        print(error, file=sys.stderr)
-        return 1
-    cells = sweep.cells()
-    missing = store.missing(cells)
-    if missing:
-        print(f"{len(missing)} of {len(cells)} cells missing from {store.root}; "
-              f"finish the sweep first:", file=sys.stderr)
-        for key in missing[:10]:
-            print(f"  {key.fingerprint}  {key.label()}", file=sys.stderr)
-        if len(missing) > 10:
-            print(f"  ... and {len(missing) - 10} more", file=sys.stderr)
-        return 1
-    records = store.load_records(cells)
-    _warn_mixed_numerics(store, cells)
-    if args.across_seeds:
-        status = _report_across_seeds(args, cells, records)
-        if args.timings:
-            print()
-            _print_timings(store, cells)
-        return status
+def _report_per_seed(args, sweep, store: RunStore, cells, records) -> None:
     many_seeds = len(args.seeds) > 1
-    first = True
-    for seed in args.seeds:
-        if not first:
+    for index, seed in enumerate(args.seeds):
+        if index:
             print()
-        first = False
         if args.exp in EMBEDDING_FIGURES:
             results = figure_results_from_records(
                 cells, records, methods=args.methods or None, seed=seed,
@@ -834,10 +776,8 @@ def _command_report(args) -> int:
             print(format_ablation_table(
                 rows, title=_report_title("Table I", seed, many_seeds)))
             continue
-        panels = FIG3_PANELS if args.exp == "fig3" else FIG4_PANELS
-        dataset, paper_label, _setting = panels[args.panel]
-        name = f"{args.exp}-panel{args.panel} {dataset} paper:{paper_label}"
-        spec = sweep.to_experiment_spec(seed=seed, name=name)
+        spec = sweep.to_experiment_spec(
+            seed=seed, name=_panel_name(args.exp, args.panel))
         seed_records = [record for key, record in zip(cells, records)
                         if key.seed == seed]
         outcome = outcome_from_records(spec, seed_records)
@@ -849,6 +789,20 @@ def _command_report(args) -> int:
                 title=_report_title(spec.name + " [novel]", seed, many_seeds)))
         if args.csv:
             print(format_series_csv(outcome))
+
+
+def _command_report(args) -> int:
+    sweep = _build_sweep(args)
+    cells = sweep.cells()
+    store = _open_store(args.runs_dir)
+    if store is None or _missing_cells(store, cells, "finish the sweep first"):
+        return 1
+    records = store.load_records(cells)
+    _warn_mixed_numerics(store, cells)
+    if args.across_seeds:
+        _report_across_seeds(args, cells, records)
+    else:
+        _report_per_seed(args, sweep, store, cells, records)
     if args.timings:
         print()
         _print_timings(store, cells)
@@ -861,32 +815,20 @@ def _command_figures(args) -> int:
     # match what was swept, so never rewrite it silently from --seed.
     if args.seed is None:
         if len(args.seeds) > 1:
-            print(f"--seeds lists {args.seeds}; pick one to render with "
-                  "--seed N", file=sys.stderr)
-            return 2
+            raise _UsageError(f"--seeds lists {args.seeds}; pick one to render "
+                              "with --seed N")
         args.seed = args.seeds[0]
     elif args.seed not in args.seeds:
-        if args.seeds == [0]:
-            # --seeds was left at its default; follow --seed.
-            args.seeds = [args.seed]
-        else:
-            print(f"--seed {args.seed} is not in the swept grid's --seeds "
-                  f"{args.seeds}", file=sys.stderr)
-            return 2
+        if args.seeds != [0]:
+            raise _UsageError(f"--seed {args.seed} is not in the swept grid's "
+                              f"--seeds {args.seeds}")
+        # --seeds was left at its default; follow --seed.
+        args.seeds = [args.seed]
     sweep = _build_sweep(args, experiment=args.figure)
-    try:
-        store = RunStore(args.runs_dir, create=False)
-    except FileNotFoundError as error:
-        print(error, file=sys.stderr)
-        return 1
     cells = [key for key in sweep.cells() if key.seed == args.seed]
-    missing = store.missing(cells)
-    if missing:
-        print(f"{len(missing)} of {len(cells)} cells missing from {store.root}; "
-              f"run the sweep first (repro sweep --exp {args.figure} ...):",
-              file=sys.stderr)
-        for key in missing[:10]:
-            print(f"  {key.fingerprint}  {key.label()}", file=sys.stderr)
+    store = _open_store(args.runs_dir)
+    if store is None or _missing_cells(
+            store, cells, f"run the sweep first (repro sweep --exp {args.figure} ...)"):
         return 1
     records = store.load_records(cells)
     if args.figure in EMBEDDING_FIGURES:
@@ -897,9 +839,7 @@ def _command_figures(args) -> int:
         print(format_silhouette_table(results, title=f"{args.figure} silhouettes"))
         default_out = f"{args.figure}.svg"
     else:
-        panels = FIG3_PANELS if args.figure == "fig3" else FIG4_PANELS
-        dataset, paper_label, _setting = panels[args.panel]
-        name = f"{args.figure}-panel{args.panel} {dataset} paper:{paper_label}"
+        name = _panel_name(args.figure, args.panel)
         spec = sweep.to_experiment_spec(seed=args.seed, name=name)
         outcome = outcome_from_records(spec, records)
         svg = render_series_svg(outcome, title=name)
@@ -910,10 +850,8 @@ def _command_figures(args) -> int:
 
 
 def _command_profile(args) -> int:
-    try:
-        store = RunStore(args.store, create=False)
-    except FileNotFoundError as error:
-        print(error, file=sys.stderr)
+    store = _open_store(args.store)
+    if store is None:
         return 1
     cells = load_store_telemetry(str(store.root))
     if not cells:
@@ -931,6 +869,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     pin_blas_threads()
     args = build_parser().parse_args(argv)
     try:
+        _check_bounds(args)
         return _dispatch(args)
     except _UsageError as error:
         print(error, file=sys.stderr)

@@ -1,14 +1,47 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _GRID_FLAGS, _build_sweep, _grid_flags, build_parser, main
 
 TINY_SWEEP_ARGS = [
     "--exp", "fig3", "--panel", "0", "--methods", "script-fair", "fedavg",
     "--rounds", "1", "--clients", "4", "--samples", "20",
+]
+
+POPULATION_ARGS = [
+    "--availability", "0.5", "--churn", "0.25", "--dropout", "0.1",
+    "--speed-spread", "0.2", "--aggregation-buffer", "4",
+    "--staleness-decay", "0.75",
+]
+
+# `repro sweep` arguments and the `repro report` hint printed for them,
+# captured before the flags were declared in one table: they pin the hint
+# byte for byte.
+HINT_GOLDENS = [
+    (["--exp", "fig3", "--panel", "2", "--runs-dir", "d", "--seeds", "0", "1",
+      "--methods", "fedavg", "script-fair", "--rounds", "3", "--clients", "6",
+      "--samples", "20", "--novel", "4", "--embed-clients", "3",
+      "--embed-samples", "5", "--tsne-iterations", "50",
+      "--aggregation", "buffered"] + POPULATION_ARGS,
+     "--exp fig3 --runs-dir d --panel 2 --seeds 0 1 --methods fedavg "
+     "script-fair --rounds 3 --clients 6 --samples 20 --embed-clients 3 "
+     "--embed-samples 5 --tsne-iterations 50 --availability 0.5 --churn 0.25 "
+     "--dropout 0.1 --speed-spread 0.2 --aggregation buffered "
+     "--aggregation-buffer 4 --staleness-decay 0.75"),
+    (["--exp", "fig4", "--runs-dir", "d", "--novel", "3",
+      "--aggregation", "staleness"] + POPULATION_ARGS,
+     "--exp fig4 --runs-dir d --panel 0 --novel 3 --availability 0.5 "
+     "--churn 0.25 --dropout 0.1 --speed-spread 0.2 --aggregation staleness "
+     "--aggregation-buffer 4 --staleness-decay 0.75"),
+    (["--exp", "fig5", "--runs-dir", "d", "--embed-clients", "3",
+      "--embed-samples", "5", "--tsne-iterations", "50"],
+     "--exp fig5 --runs-dir d --embed-clients 3 --embed-samples 5 "
+     "--tsne-iterations 50"),
+    (["--exp", "table1", "--runs-dir", "d"], "--exp table1 --runs-dir d"),
 ]
 
 
@@ -63,15 +96,49 @@ class TestMain:
          "samples_per_client must be >= 4"),
         (["report", "--exp", "table1", "--samples", "2"],
          "samples_per_client must be >= 4"),
+        (["sweep", "--exp", "table1", "--jobs", "0"],
+         "--jobs must be >= 1, got 0"),
+        (["sweep", "--exp", "table1", "--max-cells", "-1"],
+         "--max-cells must be >= 0, got -1"),
+        (["profile", "--top", "-1"], "--top must be >= 0, got -1"),
+        (["sweep", "--exp", "fig3", "--methods", "bogus"],
+         "unknown methods: ['bogus']"),
+        (["sweep", "--exp", "fig3", "--panel", "9"],
+         "--panel: panel_index must be in [0, 3]"),
+        (["report", "--exp", "fig4", "--panel", "7"],
+         "--panel: panel_index must be in [0, 1]"),
+        (["run", "--method", "fedavg", "--availability", "2"],
+         "availability must be in (0, 1], got 2.0"),
+        (["run", "--method", "fedavg", "--aggregation-buffer", "0"],
+         "aggregation_buffer must be an integer >= 1, got 0"),
     ])
     def test_usage_errors_exit_2_with_one_line(self, capsys, tmp_path,
                                                argv, message):
-        if argv[0] != "run":
+        if argv[0] == "profile":
+            argv = argv + [str(tmp_path)]
+        elif argv[0] != "run":
             argv = argv + ["--runs-dir", str(tmp_path / "store")]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert message in err
+
+    @pytest.mark.parametrize("argv,golden", HINT_GOLDENS,
+                             ids=["fig3-every-flag", "fig4-population",
+                                  "fig5-embedding", "table1"])
+    def test_report_hint_rebuilds_the_swept_grid(self, argv, golden):
+        args = build_parser().parse_args(["sweep"] + argv)
+        hint = _grid_flags(args)
+        assert hint == golden
+        again = build_parser().parse_args(["report"] + shlex.split(hint))
+        assert ([key.fingerprint for key in _build_sweep(again).cells()]
+                == [key.fingerprint for key in _build_sweep(args).cells()])
+
+    def test_report_hint_goldens_set_every_grid_flag(self):
+        # A grid flag added to the table must be set in a golden above, so
+        # that the round trip proves the hint repeats it.
+        swept = {arg for argv, _ in HINT_GOLDENS for arg in argv}
+        assert {flag.options[0] for flag in _GRID_FLAGS} <= swept
 
     def test_run_tiny_experiment(self, capsys):
         code = main([
@@ -141,11 +208,6 @@ class TestSweepCommands:
                     + TINY_SWEEP_ARGS)
         assert code == 1
         assert "no run store" in capsys.readouterr().err
-
-    def test_sweep_rejects_unknown_methods(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--runs-dir", str(tmp_path), "--exp", "fig3",
-                  "--methods", "bogus"])
 
     def test_report_across_seeds_and_timings(self, capsys, tmp_path):
         runs_dir = str(tmp_path / "store")
