@@ -11,7 +11,7 @@ Importing this package registers every rule with
 ``tracing``      TRC — trace/replay taping restrictions
 ``pickling``     PKL — picklable execution payloads
 ``telemetry``    TEL — observability stays out of hashed records
-``population``   POP — async opt-in defaults, replay-pure sampling RNG
+``population``   POP — replay-pure sampling RNG
 """
 
 from . import (  # noqa: F401  (imported for registration side effect)

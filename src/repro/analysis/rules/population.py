@@ -1,97 +1,30 @@
-"""POP — virtual-population and async-aggregation contracts.
-
-The population plane (:mod:`repro.fl.population`) keeps two promises
-that are easy to break silently:
-
-``POP001``
-    Async aggregation and availability churn are *opt-in*.  The CI
-    bitwise contract covers the sync path, so the dataclass defaults in
-    ``FederatedConfig`` must stay ``aggregation = "sync"`` and
-    ``availability = None`` — changing either default flips every config
-    that never mentions them onto the non-default path (and, because the
-    fields are default-omitted from fingerprints, without changing any
-    fingerprint).
+"""POP — replay-pure participant sampling.
 
 ``POP002``
-    No stored generators where participant sets or client realization
-    are decided.  In ``repro.fl.sampler`` and ``repro.fl.population``,
-    every draw must call ``derive_rng(seed, *streams)`` at the point of
-    use: persisting the generator on an attribute makes the next draw
-    depend on call history, which breaks sampling round 5 before round
-    3, checkpoint rewind, and the availability model's replay-based
-    ``state_dict``.  (The availability chain stores *derived state* — a
-    cursor it can replay from round 0 — never a live generator.)
+    No stored generators where participant sets are decided.  In
+    ``repro.fl.sampler`` every draw must call ``derive_rng(seed,
+    *streams)`` at the point of use: persisting the generator on an
+    attribute makes the next draw depend on call history, which breaks
+    sampling round 5 before round 3 and checkpoint rewind.
 
-Both rules read source ASTs only, so a violation fails ``repro check``
+The rule reads source ASTs only, so a violation fails ``repro check``
 the moment it is written.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..diagnostics import Diagnostic
 from ..project import Project, SourceFile
 from ..registry import Rule, register
 
-CONFIG_MODULE = "repro.fl.config"
-
-POP_SCOPE = ("repro.fl.sampler", "repro.fl.population")
-"""Where replay purity is load-bearing: the modules that decide *which*
-clients exist, participate, and drop out each round.  Algorithms and the
-session keep their own stored state under the checkpoint codec; these
-modules must stay stateless so rewind needs no state at all."""
-
-_OPT_IN_DEFAULTS = {"aggregation": "sync", "availability": None}
-
-
-def _field_default(class_node: ast.ClassDef, name: str) -> Optional[ast.expr]:
-    """The default-value expression of a dataclass field, or ``None``."""
-    for stmt in class_node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) \
-                and stmt.target.id == name:
-            return stmt.value
-    return None
-
-
-@register
-class AsyncOptInRule(Rule):
-    id = "POP001"
-    summary = ("async aggregation and availability churn are opt-in: "
-               "FederatedConfig must default aggregation='sync' and "
-               "availability=None")
-
-    def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        config = project.by_module(CONFIG_MODULE)
-        if config is None:
-            return  # partial tree (e.g. a rule fixture for another family)
-        class_node = next(
-            (node for node in ast.walk(config.tree)
-             if isinstance(node, ast.ClassDef)
-             and node.name == "FederatedConfig"), None)
-        if class_node is None:
-            return
-        for name, expected in sorted(_OPT_IN_DEFAULTS.items()):
-            if not _has_field(class_node, name):
-                continue  # field removed entirely; FPR001 owns that story
-            default = _field_default(class_node, name)
-            if not (isinstance(default, ast.Constant)
-                    and default.value == expected):
-                yield self.diagnostic(
-                    config.rel,
-                    default.lineno if default is not None else class_node.lineno,
-                    f"FederatedConfig.{name} must default to the literal "
-                    f"{expected!r} (the sync path is the CI bitwise contract)",
-                    hint="keep the non-default path behind explicit config "
-                         "or CLI opt-in; never flip the default")
-
-
-def _has_field(class_node: ast.ClassDef, name: str) -> bool:
-    return any(isinstance(stmt, ast.AnnAssign)
-               and isinstance(stmt.target, ast.Name)
-               and stmt.target.id == name
-               for stmt in class_node.body)
+POP_SCOPE = ("repro.fl.sampler",)
+"""Where replay purity is load-bearing: the module that decides which
+clients participate each round.  Algorithms and the session keep their
+own stored state under the checkpoint codec; the sampler must stay
+stateless so rewind needs no state at all."""
 
 
 def _is_derive_rng_call(node: ast.expr) -> bool:
@@ -109,8 +42,8 @@ def _is_derive_rng_call(node: ast.expr) -> bool:
 @register
 class StoredGeneratorRule(Rule):
     id = "POP002"
-    summary = ("sampler and population modules must derive generators at "
-               "the point of use, never store them on attributes")
+    summary = ("the sampler must derive generators at the point of use, "
+               "never store them on attributes")
     scope = POP_SCOPE
 
     def check_file(self, source: SourceFile,

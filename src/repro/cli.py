@@ -79,10 +79,15 @@ from .experiments import (
     scaled_spec,
 )
 from .experiments.settings import SCALED_CONFIG
-from .fl.config import AGGREGATION_POLICIES, AvailabilitySpec
-from .fl.execution import available_backends, pin_blas_threads
+from .fl.execution import available_backends, numeric_environment, pin_blas_threads
 from .ioutil import atomic_write_text
-from .runs import RunStore, outcome_from_records, run_sweep, save_outcome
+from .runs import (
+    CorruptRecord,
+    RunStore,
+    outcome_from_records,
+    run_sweep,
+    save_outcome,
+)
 from .telemetry import (
     Tracer,
     chrome_trace,
@@ -106,8 +111,7 @@ class _UsageError(Exception):
 class _Flag(NamedTuple):
     """Everything the CLI knows about one flag, written once.
 
-    ``field`` names the ``FederatedConfig`` field the flag overrides
-    (``"availability.<name>"``: a field of its ``AvailabilitySpec``);
+    ``field`` names the ``FederatedConfig`` field the flag overrides;
     ``minimum`` is its lower bound, checked by :func:`main` after
     parsing; ``grids`` lists the sweep grids it shapes when it is one of
     :data:`_GRID_FLAGS`, which the ``repro report`` hint repeats.
@@ -133,42 +137,6 @@ def _flag(*options: str, field: Optional[str] = None,
           grids: Tuple[str, ...] = SWEEP_EXPERIMENTS, **kwargs) -> _Flag:
     return _Flag(options, kwargs, field, minimum, grids)
 
-
-# Population-plane knobs (availability churn + async aggregation), shared
-# by ``run`` and the grid commands.  All are semantic (they change results
-# and therefore cell hashes), and all default to off so existing command
-# lines reproduce existing bytes.
-_POPULATION = (
-    _flag("--availability", type=float, default=None, metavar="FRAC",
-          field="availability.availability",
-          help="stationary fraction of clients online per round (changes "
-               "results/cell hashes; default: everyone, always)"),
-    _flag("--churn", type=float, default=None, metavar="RATE",
-          field="availability.churn",
-          help="membership flip intensity in [0, 1]: 1 redraws who is online "
-               "every round, values toward 0 make membership sticky (only "
-               "meaningful with --availability < 1)"),
-    _flag("--dropout", type=float, default=None, metavar="PROB",
-          field="availability.dropout",
-          help="probability a sampled client drops mid-round before its "
-               "update lands (changes results)"),
-    _flag("--speed-spread", type=float, default=None, metavar="SIGMA",
-          field="availability.speed_spread",
-          help="lognormal sigma of per-client speed multipliers; orders "
-               "simulated completions under async aggregation"),
-    _flag("--aggregation", default="sync", choices=list(AGGREGATION_POLICIES),
-          field="aggregation",
-          help="server aggregation policy: 'sync' (default, the "
-               "bitwise-deterministic contract), 'buffered' (FedBuff-style "
-               "flushes), or 'staleness' (per-update staleness weighting)"),
-    _flag("--aggregation-buffer", type=int, default=None, metavar="K",
-          field="aggregation_buffer",
-          help="buffer size for --aggregation buffered (default: 10)"),
-    _flag("--staleness-decay", type=float, default=None, metavar="D",
-          field="staleness_decay",
-          help="staleness down-weighting exponent for the async policies "
-               "(default: 0.5)"),
-)
 
 # Flags that *define* a sweep grid, shared by ``sweep``, ``report`` and
 # ``figures``: those commands rebuild the same grid to know which
@@ -196,7 +164,7 @@ _GRID_FLAGS = (
     _flag("--tsne-iterations", type=int, default=None,
           help="t-SNE gradient steps (changes cell hashes; embedding grids "
                "only)"),
-) + _POPULATION
+)
 
 # ``figures`` names its artifact positionally, so it takes no --exp.
 _GRID = (
@@ -270,7 +238,7 @@ _COMMAND_FLAGS: Dict[str, Tuple[_Flag, ...]] = {
                    "Chrome trace-event JSON (open in Perfetto or "
                    "chrome://tracing); results are identical with or "
                    "without it"),
-    ) + _POPULATION,
+    ),
     "fig3": (
         _flag("--panel", type=int, default=0, choices=range(len(FIG3_PANELS))),
         _SEED,
@@ -363,18 +331,11 @@ def _config_overrides(args, flags) -> dict:
     and every fingerprint derived from it — is byte-identical to one built
     from a command line without them.
     """
-    overrides, availability = {}, {}
+    overrides = {}
     for flag in flags:
         value = getattr(args, flag.dest)
-        if flag.field is None or value == flag.kwargs.get("default"):
-            continue
-        field, _, spec_field = flag.field.partition(".")
-        if spec_field:
-            availability[spec_field] = value
-        else:
-            overrides[field] = value
-    if availability:
-        overrides["availability"] = AvailabilitySpec(**availability)
+        if flag.field is not None and value != flag.kwargs.get("default"):
+            overrides[flag.field] = value
     if "num_clients" in overrides:
         overrides["clients_per_round"] = min(SCALED_CONFIG.clients_per_round,
                                              overrides["num_clients"])
@@ -500,7 +461,7 @@ def _command_run(args) -> int:
         print()
         print(format_series_csv(outcome))
     if args.out:
-        path = save_outcome(outcome, args.out)
+        path = save_outcome(outcome, args.out, numerics=numeric_environment())
         print(f"\nwrote {path}")
     if tracer is not None:
         payload = chrome_trace(tracer, process_name=spec.name)
@@ -640,23 +601,11 @@ def _print_timings(store: RunStore, cells) -> None:
     totals = []
     rows_missing = 0
     rows_resumed = 0
-    rows_churned = 0
     for key in cells:
         timing = timings.get(key.fingerprint)
         if timing is None:
             rows_missing += 1
             continue
-        # Churn-affected cells (active availability model) ran fewer or
-        # different clients per round; their wall clocks are flagged so
-        # they never read as baseline numbers.  The index marker is
-        # authoritative; the config fallback covers cells indexed before
-        # the marker existed.
-        availability = key.config.availability
-        churned = bool(timing.get("churn")) or (
-            availability is not None and availability.is_active)
-        marker = " (churn)" if churned else ""
-        if churned:
-            rows_churned += 1
         wall = timing.get("wall_clock_s")
         if wall is None:
             # A resumed cell carries the marker instead of numbers: its
@@ -664,7 +613,7 @@ def _print_timings(store: RunStore, cells) -> None:
             if timing.get("resumed"):
                 rows_resumed += 1
                 print(f"  {key.fingerprint}   (resumed)            "
-                      f"{key.label()}{marker}")
+                      f"{key.label()}")
             else:
                 rows_missing += 1
             continue
@@ -672,16 +621,13 @@ def _print_timings(store: RunStore, cells) -> None:
         totals.append(wall)
         per_round_text = f" ({per_round:8.3f}s/round)" if per_round else ""
         print(f"  {key.fingerprint}  {wall:9.3f}s{per_round_text}  "
-              f"{key.label()}{marker}")
+              f"{key.label()}")
     if totals:
         print(f"  total {sum(totals):.3f}s over {len(totals)} cells, "
               f"mean {sum(totals) / len(totals):.3f}s/cell")
     if rows_resumed:
         print(f"  ({rows_resumed} cell(s) finished from a mid-cell "
               "checkpoint: no comparable wall clock)")
-    if rows_churned:
-        print(f"  ({rows_churned} cell(s) ran under availability churn: "
-              "wall clocks cover a reduced client load)")
     if rows_missing:
         print(f"  ({rows_missing} cell(s) have no recorded timing)")
 
@@ -874,6 +820,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as error:
         print(error, file=sys.stderr)
         return 2
+    except CorruptRecord as error:
+        print(f"{error}; delete it and re-run `repro sweep`", file=sys.stderr)
+        return 1
 
 
 def _dispatch(args) -> int:

@@ -24,6 +24,7 @@ from ..data.synthetic import (
 )
 from ..fl.client import build_federation, build_novel_clients
 from ..fl.config import FederatedConfig
+from ..fl.execution import pin_blas_threads
 from ..fl.history import RunResult
 from ..fl.session import RoundCheckpointer, TrainingSession
 from ..ioutil import safe_filename
@@ -244,6 +245,9 @@ def run_experiment(spec: ExperimentSpec, verbose: bool = False,
     the seam for attaching custom callbacks (eval cadence, early
     stopping, history streaming).
     """
+    # One BLAS thread before the dataset is built: library callers get the
+    # numbers the CLI and the sweep store get.
+    pin_blas_threads()
     if backend is not None or workers is not None or client_batch is not None:
         spec = replace(spec, config=spec.config.with_overrides(
             **({"backend": backend} if backend is not None else {}),

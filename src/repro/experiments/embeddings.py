@@ -51,6 +51,7 @@ from ..eval.harness import (
 )
 from ..eval.registry import build_method
 from ..fl.client import build_federation, derive_rng
+from ..fl.execution import pin_blas_threads
 from ..fl.session import SessionCallback, TrainingSession
 from ..manifold import silhouette_score, tsne_embed
 from ..runs import ARRAYS_KEY, RunKey, RunStore, SweepSpec, execute_cell, run_sweep
@@ -240,6 +241,7 @@ def compute_method_embeddings(
     the embedding math is shared, so for identical parameters both paths
     produce identical results.
     """
+    pin_blas_threads()  # before the dataset is built, as in run_experiment
     setting = setting if setting is not None else NonIIDSetting("dirichlet", 0.3, 50)
     embed = EmbedParams(num_embed_clients=num_embed_clients,
                         samples_per_client=samples_per_client,

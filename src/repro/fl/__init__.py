@@ -14,12 +14,7 @@ from .client import (
     derive_rng,
     payload_nbytes,
 )
-from .config import (
-    AGGREGATION_POLICIES,
-    PAPER_CONFIG,
-    AvailabilitySpec,
-    FederatedConfig,
-)
+from .config import PAPER_CONFIG, FederatedConfig
 from .execution import (
     BACKENDS,
     ExecutionBackend,
@@ -37,12 +32,6 @@ from .personalization import (
     evaluate_linear_head,
     train_linear_probe,
 )
-from .population import (
-    AvailabilityModel,
-    BufferedAccumulator,
-    ClientDescriptor,
-    VirtualPopulation,
-)
 from .sampler import RandomSampler, RoundRobinSampler
 from .session import (
     EarlyStopping,
@@ -59,12 +48,6 @@ from .session import (
 __all__ = [
     "FederatedConfig",
     "PAPER_CONFIG",
-    "AGGREGATION_POLICIES",
-    "AvailabilitySpec",
-    "AvailabilityModel",
-    "VirtualPopulation",
-    "ClientDescriptor",
-    "BufferedAccumulator",
     "ClientData",
     "build_federation",
     "build_novel_clients",

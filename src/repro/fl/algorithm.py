@@ -50,18 +50,13 @@ class UpdateAccumulator:
     The :class:`~repro.fl.session.TrainingSession` feeds this object from
     an iterator of completed futures (``ExecutionBackend.imap_clients``),
     so per-update work in :meth:`ingest` overlaps with still-running
-    clients instead of waiting for the round barrier — the seam future
-    async-aggregation strategies plug into.
+    clients instead of waiting for the round barrier.
 
     The final combine runs over updates reordered into *input* (dispatch)
     order, never completion order: floating-point reduction is
     order-sensitive, and reordering is what keeps the serial and process
     backends bitwise identical (the determinism contract of
-    :mod:`repro.fl.execution`).  The async aggregation policies
-    (:class:`~repro.fl.population.BufferedAccumulator`) subclass this and
-    override :meth:`finalize` with a *simulated* completion order — also a
-    pure function of the run config, never of real scheduling — so even
-    "async" runs keep the cross-backend guarantee.
+    :mod:`repro.fl.execution`).
     """
 
     def __init__(self, algorithm: "FederatedAlgorithm", global_state: StateDict,

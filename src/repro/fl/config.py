@@ -13,13 +13,6 @@ import difflib
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
-AGGREGATION_POLICIES = ("sync", "buffered", "staleness")
-"""Server aggregation policies (see :mod:`repro.fl.population.aggregation`).
-
-``"sync"`` is the default and the only policy under the CI bitwise
-contract; ``"staleness"`` and ``"buffered"`` simulate asynchronous
-FedBuff-style servers and are strictly opt-in (POP001)."""
-
 
 def suggest_unknown_keys(unknown: Iterable[str], valid: Iterable[str],
                          kind: str) -> str:
@@ -38,68 +31,6 @@ def suggest_unknown_keys(unknown: Iterable[str], valid: Iterable[str],
         parts.append(f"{name!r}{hint}")
     return (f"unknown {kind}: {', '.join(parts)}; "
             f"valid names: {', '.join(valid)}")
-
-
-@dataclass(frozen=True)
-class AvailabilitySpec:
-    """Deterministic client-availability model for one run.
-
-    All four knobs are *semantic* — they change which clients train and
-    how updates weigh in, so a non-default spec changes the run
-    fingerprint (unlike the execution knobs).  The draws themselves are
-    pure functions of ``(config.seed, round, client_id)`` via
-    :func:`~repro.fl.client.derive_rng`, which is what keeps churned runs
-    bitwise identical across execution backends (see
-    ``docs/population.md``).
-
-    ``availability``
-        Stationary fraction of the population online each round.
-    ``churn``
-        Per-round flip intensity of the Markov join/leave chain: ``1.0``
-        redraws membership i.i.d. every round, values toward ``0.0`` make
-        membership sticky (a client online this round tends to stay
-        online).  Irrelevant when ``availability == 1.0``.
-    ``dropout``
-        Probability a *sampled* participant drops mid-round before its
-        update reaches the server.
-    ``speed_spread``
-        Sigma of the lognormal per-client speed multipliers used to order
-        simulated completions under async aggregation (``0.0`` means a
-        homogeneous fleet).
-    """
-
-    availability: float = 1.0
-    churn: float = 1.0
-    dropout: float = 0.0
-    speed_spread: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < float(self.availability) <= 1.0:
-            raise ValueError(
-                f"availability must be in (0, 1], got {self.availability!r}")
-        if not 0.0 <= float(self.churn) <= 1.0:
-            raise ValueError(f"churn must be in [0, 1], got {self.churn!r}")
-        if not 0.0 <= float(self.dropout) < 1.0:
-            raise ValueError(
-                f"dropout must be in [0, 1), got {self.dropout!r}")
-        if float(self.speed_spread) < 0.0:
-            raise ValueError(
-                f"speed_spread must be >= 0, got {self.speed_spread!r}")
-        # Normalize to float so equal specs built from ints and floats
-        # serialize — and therefore fingerprint — identically.
-        for name in ("availability", "churn", "dropout", "speed_spread"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    @property
-    def is_active(self) -> bool:
-        """Whether this spec changes anything relative to no model at all.
-
-        ``availability == 1.0`` keeps every client online regardless of
-        churn, so only partial availability, dropout, or a speed spread
-        make the model observable.
-        """
-        return (self.availability < 1.0 or self.dropout > 0.0
-                or self.speed_spread > 0.0)
 
 
 @dataclass(frozen=True)
@@ -128,16 +59,6 @@ class FederatedConfig:
     per-client path, so — like backend/workers/shared_memory — this knob
     changes wall-clock time, never results, and is excluded from run
     fingerprints.
-
-    ``availability``/``aggregation``/``aggregation_buffer``/
-    ``staleness_decay`` are the population-plane knobs
-    (:mod:`repro.fl.population`): an :class:`AvailabilitySpec` turns on
-    deterministic churn/dropout/speed modelling, and a non-``"sync"``
-    aggregation policy opts into simulated-async (FedBuff-style) server
-    behaviour.  Unlike the execution knobs these change *results*, so
-    they are fingerprinted; all four default to "off" and are omitted
-    from serialized payloads at their defaults, so every pre-existing
-    fingerprint survives.
     """
 
     num_clients: int = 20
@@ -154,10 +75,6 @@ class FederatedConfig:
     test_fraction: float = 0.25
     num_novel_clients: int = 0
     seed: int = 0
-    availability: Optional[AvailabilitySpec] = None
-    aggregation: str = "sync"
-    aggregation_buffer: int = 10
-    staleness_decay: float = 0.5
     backend: str = "serial"
     workers: Optional[int] = None
     shared_memory: Optional[bool] = None
@@ -180,29 +97,6 @@ class FederatedConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.num_novel_clients < 0:
             raise ValueError("num_novel_clients must be >= 0")
-        # Availability/aggregation are semantic knobs (they hash into run
-        # fingerprints); a dict availability is coerced so configs rebuilt
-        # from stored JSON compare equal to freshly constructed ones.
-        if isinstance(self.availability, dict):
-            object.__setattr__(self, "availability",
-                               AvailabilitySpec(**self.availability))
-        if self.availability is not None and not isinstance(
-                self.availability, AvailabilitySpec):
-            raise ValueError(
-                f"availability must be None or an AvailabilitySpec, "
-                f"got {self.availability!r}")
-        if self.aggregation not in AGGREGATION_POLICIES:
-            raise ValueError(
-                f"unknown aggregation policy {self.aggregation!r}; "
-                f"available: {AGGREGATION_POLICIES}")
-        if isinstance(self.aggregation_buffer, bool) or not isinstance(
-                self.aggregation_buffer, int) or self.aggregation_buffer < 1:
-            raise ValueError(
-                f"aggregation_buffer must be an integer >= 1, "
-                f"got {self.aggregation_buffer!r}")
-        if self.staleness_decay < 0.0:
-            raise ValueError(
-                f"staleness_decay must be >= 0, got {self.staleness_decay!r}")
         from .execution import available_backends, resolve_workers
 
         if not isinstance(self.backend, str) or self.backend.lower() not in available_backends():

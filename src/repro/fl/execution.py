@@ -149,8 +149,8 @@ def numeric_environment() -> Dict:
     numpy version, BLAS name and version, effective BLAS thread count,
     CPU model, usable cores and Python version; the BLAS fields are None
     when numpy is not on its bundled OpenBLAS.  Diagnostics only: the
-    stamp goes beside cell records (telemetry ``meta``, ``index.jsonl``),
-    never into them.
+    stamp goes beside cell records (telemetry ``meta``, ``index.jsonl``,
+    ``repro run --out`` JSON), never into them.
     """
     get_config = _blas_function("get_config", ctypes.c_char_p)
     get_threads = _blas_function("get_num_threads", ctypes.c_int)
@@ -234,13 +234,6 @@ class ExecutionBackend:
     """Common interface: map a pure task over client payloads, in order."""
 
     name = "base"
-
-    uses_data_plane = False
-    """Whether payloads cross a process boundary and therefore benefit from
-    the shared-memory data plane.  Class-level so callers that manage their
-    own segments (a :class:`~repro.fl.population.VirtualPopulation` sharing
-    clients at realization time) can decide *before* any client exists —
-    ``register_clients`` only answers for clients already materialized."""
 
     def __init__(self, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None, fallback: bool = True):
@@ -367,8 +360,6 @@ class ProcessBackend(ExecutionBackend):
     """
 
     name = "process"
-
-    uses_data_plane = True
 
     def __init__(self, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None, fallback: bool = True,

@@ -1,21 +1,8 @@
-"""Client sampling: which clients participate in each round.
-
-Both samplers expose two surfaces over the same draw:
-
-* ``sample(clients, round_index)`` — the classic list-of-
-  :class:`~repro.fl.client.ClientData` API;
-* ``sample_ids(client_ids, round_index)`` — id-based sampling for
-  virtual populations (:mod:`repro.fl.population`), where materializing
-  the candidate list as ``ClientData`` would defeat lazy realization.
-
-``sample`` delegates to ``sample_ids`` over candidate *positions*, so the
-two surfaces draw from the same stream and pick the same clients — adding
-the id surface changed no existing participant set.
-"""
+"""Client sampling: which clients participate in each round."""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .client import ClientData, derive_rng
 
@@ -46,30 +33,14 @@ class RandomSampler:
         self.count = count
         self.seed = seed
 
-    def sample_ids(self, client_ids: Sequence[int], round_index: int,
-                   count: Optional[int] = None) -> List[int]:
-        """Sample ids from a candidate list, sorted ascending by position.
-
-        ``count`` overrides ``self.count`` for callers that must clamp to
-        a shrunken candidate pool (availability churn can leave fewer than
-        ``count`` clients online); ``count < 1`` returns an empty round
-        rather than raising, since an empty online pool is a legitimate
-        churn outcome, not a configuration error.
-        """
-        if count is None:
-            count = self.count
-        if count < 1:
-            return []
-        if count > len(client_ids):
-            raise ValueError(
-                f"cannot sample {count} of {len(client_ids)} clients")
-        rng = derive_rng(self.seed, _PARTICIPANT_STREAM, round_index)
-        chosen = rng.choice(len(client_ids), size=count, replace=False)
-        return [int(client_ids[i]) for i in sorted(chosen)]
-
     def sample(self, clients: Sequence[ClientData], round_index: int) -> List[ClientData]:
-        positions = self.sample_ids(range(len(clients)), round_index)
-        return [clients[i] for i in positions]
+        """``count`` clients, in ascending list position."""
+        if self.count > len(clients):
+            raise ValueError(
+                f"cannot sample {self.count} of {len(clients)} clients")
+        rng = derive_rng(self.seed, _PARTICIPANT_STREAM, round_index)
+        chosen = rng.choice(len(clients), size=self.count, replace=False)
+        return [clients[i] for i in sorted(chosen)]
 
 
 class RoundRobinSampler:
@@ -80,19 +51,10 @@ class RoundRobinSampler:
             raise ValueError("count must be >= 1")
         self.count = count
 
-    def sample_ids(self, client_ids: Sequence[int], round_index: int,
-                   count: Optional[int] = None) -> List[int]:
-        n = len(client_ids)
-        if count is None:
-            count = self.count
-        if n == 0 or count < 1:
-            return []
-        # Stride by self.count (not the clamped count) so the rotation
-        # pattern is independent of per-round availability.
-        start = (round_index * self.count) % n
-        return [int(client_ids[(start + offset) % n])
-                for offset in range(min(count, n))]
-
     def sample(self, clients: Sequence[ClientData], round_index: int) -> List[ClientData]:
-        positions = self.sample_ids(range(len(clients)), round_index)
-        return [clients[i] for i in positions]
+        n = len(clients)
+        if n == 0:
+            return []
+        start = (round_index * self.count) % n
+        return [clients[(start + offset) % n]
+                for offset in range(min(self.count, n))]

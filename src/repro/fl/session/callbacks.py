@@ -114,11 +114,6 @@ class EarlyStopping(SessionCallback):
     After ``patience`` consecutive rounds without an improvement of at
     least ``min_delta``, calls ``session.request_stop()`` — the session
     finishes the current round cleanly and ``run_until`` returns early.
-
-    Rounds with no participants at all (availability churn can empty a
-    round — see :mod:`repro.fl.population`) neither improve nor consume
-    patience: an idle server learns nothing about convergence, so a
-    churn-heavy stretch must not trigger a spurious stop.
     """
 
     def __init__(self, metric: str = "mean_loss", patience: int = 3,
@@ -145,8 +140,6 @@ class EarlyStopping(SessionCallback):
         return float(value)
 
     def on_round_end(self, session, event: RoundEnd) -> None:
-        if not event.record.participant_ids:
-            return
         value = self._metric_value(event.record)
         improved = False
         if value is not None:

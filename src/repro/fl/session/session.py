@@ -26,20 +26,18 @@ import json
 import warnings
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ...nn.serialize import StateDict, clone_state
 from ...telemetry import InstrumentedTask, TaskOutcome, Tracer, current_tracer
-from ..algorithm import ClientUpdate, FederatedAlgorithm, UpdateAccumulator
+from ..algorithm import ClientUpdate, FederatedAlgorithm
 from ..client import ClientData
 from ..config import FederatedConfig
-from ..execution import ExecutionBackend, resolve_backend
+from ..execution import ExecutionBackend, pin_blas_threads, resolve_backend
 from ..history import RoundRecord, RunResult
-from ..population import AvailabilityModel, BufferedAccumulator, VirtualPopulation
 from ..sampler import RandomSampler
 from .events import (
     AggregateDone,
@@ -118,49 +116,25 @@ def _personalize_span_attrs(client: ClientData) -> Dict:
 # checkpoint taken under one backend restores under any other.
 _EXECUTION_KNOBS = ("backend", "workers", "shared_memory", "client_batch")
 
-# Population-plane knobs are omitted from the context payload while at
-# their defaults (mirroring runs.serialize.DEFAULT_OMITTED_FIELDS, which
-# the fl layer cannot import), so checkpoints taken before those knobs
-# existed keep restoring.
-_CONTEXT_OMITTED = {
-    field.name: field.default for field in dataclass_fields(FederatedConfig)
-    if field.name in ("availability", "aggregation", "aggregation_buffer",
-                      "staleness_decay")
-}
-
 
 def default_session_context(algorithm: FederatedAlgorithm,
-                            clients: Union[Sequence[ClientData],
-                                           VirtualPopulation],
-                            config) -> str:
+                            clients: Sequence[ClientData], config) -> str:
     """Fingerprint of what a checkpoint is only valid against.
 
     Hashes the algorithm name, the result-determining config fields, and
-    the federation's shape — client ids and local sample counts for a
-    materialized client list, or the O(1)
-    :meth:`~repro.fl.population.VirtualPopulation.context_payload` for a
-    virtual population (enumerating a million clients into a checkpoint
-    guard would defeat laziness).  It is a guard against *accidental*
-    cross-run resume — a different seed, sample count, or client grid —
-    not a cryptographic identity of the data.  The experiment harness
-    substitutes a stronger fingerprint of the full
+    the federation's shape (client ids and local sample counts).  It is a
+    guard against *accidental* cross-run resume — a different seed, sample
+    count, or client grid — not a cryptographic identity of the data.  The
+    experiment harness substitutes a stronger fingerprint of the full
     :class:`~repro.eval.harness.ExperimentSpec`.
     """
     config_payload = {name: value for name, value in asdict(config).items()
                       if name not in _EXECUTION_KNOBS}
-    for name, default in _CONTEXT_OMITTED.items():
-        if name in config_payload and config_payload[name] == default:
-            config_payload.pop(name)
-    if isinstance(clients, VirtualPopulation):
-        clients_payload = clients.context_payload()
-    else:
-        clients_payload = [[int(client.client_id),
-                            int(client.num_train_samples)]
-                           for client in clients]
     payload = {
         "algorithm": algorithm.name,
         "config": config_payload,
-        "clients": clients_payload,
+        "clients": [[int(client.client_id), int(client.num_train_samples)]
+                    for client in clients],
     }
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -170,23 +144,16 @@ def default_session_context(algorithm: FederatedAlgorithm,
 class TrainingSession:
     """Coordinates one federated run of a given algorithm, resumably.
 
-    ``clients`` is either a materialized ``Sequence[ClientData]`` (the
-    classic shape) or a :class:`~repro.fl.population.VirtualPopulation`,
-    in which case only sampled participants are ever realized and the
-    session drives the population's round pinning
-    (:meth:`~repro.fl.population.VirtualPopulation.realize_round` /
-    ``end_round``).  With ``config.availability`` set to an active
-    :class:`~repro.fl.config.AvailabilitySpec`, sampling goes through the
-    id surface (``sampler.sample_ids``) over the deterministic per-round
-    online pool — custom samplers used under churn or populations must
-    implement ``sample_ids``; the classic ``sample(clients, round)`` path
-    is byte-for-byte untouched otherwise.
+    Each round samples participants from the materialized ``clients``
+    (``sampler.sample(clients, round_index)``) and combines their updates
+    through the algorithm's own aggregator
+    (:meth:`~repro.fl.algorithm.FederatedAlgorithm.make_aggregator`).
     """
 
     def __init__(
         self,
         algorithm: FederatedAlgorithm,
-        clients: Union[Sequence[ClientData], VirtualPopulation],
+        clients: Sequence[ClientData],
         config: FederatedConfig,
         novel_clients: Sequence[ClientData] = (),
         sampler=None,
@@ -202,31 +169,18 @@ class TrainingSession:
         # round loop runs exactly the un-instrumented code path.
         self.tracer = tracer if tracer is not None else current_tracer()
         self.algorithm = algorithm
-        if isinstance(clients, VirtualPopulation):
-            self.population: Optional[VirtualPopulation] = clients
-            self.clients: List[ClientData] = []
-            self._num_clients = len(clients)
-        else:
-            self.population = None
-            self.clients = list(clients)
-            self._num_clients = len(self.clients)
-        if self._num_clients < 1:
+        # One BLAS thread: the thread count changes summation order, and a
+        # run's result must be a function of its config alone.  Idempotent,
+        # so library callers get the same numbers as the CLI.
+        pin_blas_threads()
+        self.clients = list(clients)
+        if not self.clients:
             raise ValueError("need at least one client")
-        self._clients_by_id = {client.client_id: client
-                               for client in self.clients}
         self.novel_clients = list(novel_clients)
         self.config = config
         self.sampler = sampler if sampler is not None else RandomSampler(
-            min(config.clients_per_round, self._num_clients), seed=config.seed
+            min(config.clients_per_round, len(self.clients)), seed=config.seed
         )
-        # The availability model only exists when the spec changes
-        # something: an inactive spec (or none) keeps the legacy sampling
-        # path — and its participant sets — byte-for-byte intact.
-        spec = config.availability
-        self._availability: Optional[AvailabilityModel] = None
-        if spec is not None and spec.is_active:
-            self._availability = AvailabilityModel(
-                spec, num_clients=self._num_clients, seed=config.seed)
         # An explicit backend (instance or name) overrides the config knobs;
         # the session owns — and closes — only backends it created itself.
         self._owns_backend = not isinstance(backend, ExecutionBackend)
@@ -237,11 +191,8 @@ class TrainingSession:
         self.verbose = verbose
         self.callbacks: List[SessionCallback] = list(callbacks)
         self.context = (context if context is not None
-                        else default_session_context(
-                            algorithm,
-                            self.population if self.population is not None
-                            else self.clients,
-                            config))
+                        else default_session_context(algorithm, self.clients,
+                                                     config))
         self._state = ServerState(algorithm=algorithm.name)
         self._initialized = False
         self._stop_requested = False
@@ -250,22 +201,12 @@ class TrainingSession:
         # on (or on auto), ask the backend to move client datasets into a
         # shared store so per-round pickles ship handles, not arrays.
         # The serial backend no-ops; the process backend degrades
-        # gracefully when shared memory cannot be created here.  A virtual
-        # population owns its own per-client segments (created at
-        # realization, released at eviction), so the session only asks it
-        # to turn the plane on when the backend would actually use it.
+        # gracefully when shared memory cannot be created here.
         self.shared_memory_active = False
         if config.shared_memory is not False:
-            if self.population is not None:
-                if getattr(self.backend, "uses_data_plane", False):
-                    self.shared_memory_active = (
-                        self.population.enable_shared_memory())
-                    if self.novel_clients:
-                        self.backend.register_clients(self.novel_clients)
-            else:
-                self.shared_memory_active = self.backend.register_clients(
-                    self.clients + self.novel_clients
-                )
+            self.shared_memory_active = self.backend.register_clients(
+                self.clients + self.novel_clients
+            )
             if config.shared_memory is True and not self.shared_memory_active:
                 warnings.warn(
                     "shared_memory=True requested but the shared-memory data "
@@ -358,90 +299,15 @@ class TrainingSession:
         with self._span("round", round=round_index):
             return self._step_inner(round_index)
 
-    def _sample_participants(self, round_index: int
-                             ) -> Tuple[List[ClientData], List[int]]:
-        """This round's realized participants plus mid-round dropout ids.
-
-        The legacy path — materialized clients, no availability model —
-        calls ``sampler.sample`` exactly as it always has, so existing
-        participant sets are untouched.  Everything else goes through the
-        id surface: churn filters the candidate pool (clamping the sample
-        size to what is online), dropout removes sampled participants
-        before any local work runs (their data is never realized), and a
-        virtual population realizes only the survivors.
-        """
-        model = self._availability
-        if self.population is None and model is None:
-            return self.sampler.sample(self.clients, round_index), []
-        if self.population is not None:
-            candidates: Sequence[int] = self.population.client_ids
-        else:
-            candidates = [client.client_id for client in self.clients]
-        if model is not None:
-            positions = model.available_positions(round_index)
-            candidates = [int(candidates[position]) for position in positions]
-            count = min(getattr(self.sampler, "count", len(candidates)),
-                        len(candidates))
-            sampled = self.sampler.sample_ids(candidates, round_index,
-                                              count=count)
-        else:
-            sampled = self.sampler.sample_ids(candidates, round_index)
-        dropped: List[int] = []
-        active = sampled
-        if model is not None and model.spec.dropout > 0.0:
-            active = []
-            for client_id in sampled:
-                if model.drops_out(client_id, round_index):
-                    dropped.append(client_id)
-                else:
-                    active.append(client_id)
-        if self.population is not None:
-            participants = self.population.realize_round(active)
-        else:
-            participants = [self._clients_by_id[client_id]
-                            for client_id in active]
-        return participants, dropped
-
-    def _make_round_aggregator(self, participants: Sequence[ClientData],
-                               round_index: int) -> UpdateAccumulator:
-        """The round's update consumer for the configured policy.
-
-        ``"sync"`` defers to the algorithm's own seam
-        (:meth:`~repro.fl.algorithm.FederatedAlgorithm.make_aggregator`)
-        — the CI bitwise contract.  The async policies wrap the same
-        algorithm in a :class:`~repro.fl.population.BufferedAccumulator`,
-        with each participant's simulated duration = its availability
-        speed multiplier × its local sample count (a deterministic proxy
-        for "slower device, more work"; 1 × samples for a homogeneous
-        fleet, so completion order degrades to dispatch order).
-        """
-        if self.config.aggregation == "sync":
-            return self.algorithm.make_aggregator(
-                self._state.global_state, round_index)
-        durations: Dict[int, float] = {}
-        for position, client in enumerate(participants):
-            speed = (self._availability.speed_multiplier(client.client_id)
-                     if self._availability is not None else 1.0)
-            durations[position] = speed * max(client.num_train_samples, 1)
-        buffer_size = (1 if self.config.aggregation == "staleness"
-                       else self.config.aggregation_buffer)
-        return BufferedAccumulator(
-            self.algorithm, self._state.global_state, round_index,
-            buffer_size=buffer_size,
-            staleness_decay=self.config.staleness_decay,
-            durations=durations,
-        )
-
     def _step_inner(self, round_index: int) -> RoundRecord:
         with self._span("sample", round=round_index):
-            participants, dropped = self._sample_participants(round_index)
-        if self._availability is not None:
-            self._count("round.dropouts", len(dropped))
+            participants = self.sampler.sample(self.clients, round_index)
         self._emit(RoundBegin(
             round_index=round_index,
             participant_ids=tuple(client.client_id for client in participants),
         ))
-        aggregator = self._make_round_aggregator(participants, round_index)
+        aggregator = self.algorithm.make_aggregator(
+            self._state.global_state, round_index)
         cohorts = self._plan_cohorts(participants)
         if cohorts is None:
             task = self._instrument(
@@ -501,8 +367,6 @@ class TrainingSession:
         with self._span("aggregate", round=round_index):
             new_global = aggregator.finalize()
             updates: List[ClientUpdate] = list(aggregator.updates_in_order())
-        if isinstance(aggregator, BufferedAccumulator):
-            self._count("aggregate.staleness", aggregator.total_staleness())
         self._emit(AggregateDone(round_index=round_index,
                                  num_updates=len(updates)))
         # Non-finite client losses (divergence, dead activations) are
@@ -530,16 +394,11 @@ class TrainingSession:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        metrics = {"non_finite_losses": float(non_finite)}
-        if self._availability is not None:
-            # Only churned runs carry the key: legacy round records (and
-            # their stored bytes) must not change shape.
-            metrics["dropouts"] = float(len(dropped))
         record = RoundRecord(
             round_index=round_index,
             participant_ids=[u.client_id for u in updates],
             mean_loss=float(np.mean(losses)) if losses else float("nan"),
-            metrics=metrics,
+            metrics={"non_finite_losses": float(non_finite)},
         )
         self._state.round_records.append(record)
         self._state.global_state = new_global
@@ -550,8 +409,6 @@ class TrainingSession:
                 f"{self.config.rounds} loss={record.mean_loss:.4f}"
             )
         self._emit(RoundEnd(round_index=round_index, record=record))
-        if self.population is not None:
-            self.population.end_round()
         return record
 
     def _plan_cohorts(self, participants: Sequence[ClientData]
@@ -602,13 +459,7 @@ class TrainingSession:
         return self.run_until(target)
 
     def personalize(self) -> RunResult:
-        """Run the personalization stage on every client (train + novel).
-
-        Over a virtual population this realizes clients in chunks of
-        ``max_resident`` — the protocol still visits every client (the
-        paper's personalization stage is population-wide), but peak
-        resident memory keeps the same O(active) bound as training.
-        """
+        """Run the personalization stage on every client (train + novel)."""
         if self._state.global_state is None:
             raise RuntimeError("train() must run before personalization")
         task = self._instrument(
@@ -620,30 +471,14 @@ class TrainingSession:
         )
         accuracies: Dict[int, float] = {}
         novel_accuracies: Dict[int, float] = {}
-
-        def _collect(clients: Sequence[ClientData]) -> None:
+        everyone = self.clients + self.novel_clients
+        with self._span("personalize", clients=len(everyone)):
             outcomes = [self._unbox(boxed)
-                        for boxed in self.backend.map_clients(task, clients)]
-            for client, outcome in zip(clients, outcomes):
+                        for boxed in self.backend.map_clients(task, everyone)]
+            for client, outcome in zip(everyone, outcomes):
                 client.store = outcome.store
                 target = novel_accuracies if client.is_novel else accuracies
                 target[client.client_id] = outcome.result.accuracy
-
-        if self.population is not None:
-            chunk_size = self.population.max_resident
-            all_ids = list(self.population.client_ids)
-            with self._span("personalize",
-                            clients=len(all_ids) + len(self.novel_clients)):
-                for start in range(0, len(all_ids), chunk_size):
-                    chunk_ids = all_ids[start:start + chunk_size]
-                    _collect(self.population.realize_round(chunk_ids))
-                    self.population.end_round()
-                if self.novel_clients:
-                    _collect(self.novel_clients)
-        else:
-            everyone = self.clients + self.novel_clients
-            with self._span("personalize", clients=len(everyone)):
-                _collect(everyone)
         result = RunResult(
             algorithm=self.algorithm.name,
             accuracies=accuracies,
@@ -684,13 +519,8 @@ class TrainingSession:
         snapshot, and a snapshot restored into a fresh session never
         aliases this one.
         """
-        if self.population is not None:
-            client_stores = {client_id: copy.deepcopy(store)
-                             for client_id, store
-                             in self.population.stores().items()}
-        else:
-            client_stores = {client.client_id: copy.deepcopy(client.store)
-                             for client in self.clients if client.store}
+        client_stores = {client.client_id: copy.deepcopy(client.store)
+                         for client in self.clients if client.store}
         return ServerState(
             algorithm=self.algorithm.name,
             context=self.context,
@@ -702,8 +532,6 @@ class TrainingSession:
             round_records=copy.deepcopy(self._state.round_records),
             sampler_state=(copy.deepcopy(self.sampler.state_dict())
                            if hasattr(self.sampler, "state_dict") else {}),
-            availability_state=(self._availability.state_dict()
-                                if self._availability is not None else {}),
             warned_non_finite=self._warned_non_finite,
         )
 
@@ -726,10 +554,7 @@ class TrainingSession:
                 f"session's context {self.context!r}: it was taken under a "
                 "different configuration/federation (resume only continues "
                 "the same run; delete the stale checkpoint to start over)")
-        if self.population is not None:
-            known = set(range(self._num_clients))
-        else:
-            known = {client.client_id for client in self.clients}
+        known = {client.client_id for client in self.clients}
         unknown = sorted(set(state.client_stores) - known)
         if unknown:
             raise ValueError(
@@ -739,19 +564,11 @@ class TrainingSession:
         # overwrite with the snapshot.
         self.algorithm.build_global_state()
         self.algorithm.load_server_state(copy.deepcopy(state.algorithm_state))
-        if self.population is not None:
-            self.population.set_stores(
-                {client_id: copy.deepcopy(store)
-                 for client_id, store in state.client_stores.items()})
-        else:
-            for client in self.clients:
-                client.store = copy.deepcopy(
-                    state.client_stores.get(client.client_id, {}))
+        for client in self.clients:
+            client.store = copy.deepcopy(
+                state.client_stores.get(client.client_id, {}))
         if state.sampler_state and hasattr(self.sampler, "load_state_dict"):
             self.sampler.load_state_dict(copy.deepcopy(state.sampler_state))
-        if self._availability is not None:
-            self._availability.load_state_dict(
-                copy.deepcopy(state.availability_state))
         self._state = ServerState(
             algorithm=state.algorithm,
             context=self.context,

@@ -69,6 +69,16 @@ def _sidecar_digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def _refuse_availability_state(payload: Dict) -> None:
+    """Refuse a checkpoint taken under availability churn, which this build
+    no longer models: resuming it would silently drop the churn."""
+    if payload.get("availability_state"):
+        raise ValueError(
+            "checkpoint carries a non-empty availability_state: it was taken "
+            "under availability churn, which this build no longer models; "
+            "delete the checkpoint to start over")
+
+
 @dataclass
 class ServerState:
     """One complete snapshot of a federated run in flight.
@@ -80,10 +90,9 @@ class ServerState:
     ``sampler_state`` is empty for the built-in samplers (their draws are
     pure functions of ``(seed, round_index)``) and carries whatever a
     stateful sampler's ``state_dict()`` returns otherwise.
-    ``availability_state`` persists the availability model's RNG cursor
-    (:meth:`~repro.fl.population.AvailabilityModel.state_dict`) so a run
-    resumed under churn replays the membership chain to the exact round —
-    empty when the run has no availability model.
+    Both formats still carry an ``"availability_state": {}`` slot, kept
+    so checkpoints written before availability churn was retired
+    re-encode byte for byte; a non-empty slot is refused on read.
 
     ``context`` is a fingerprint of the run the checkpoint belongs to
     (config minus execution knobs, federation shape — or the experiment
@@ -101,7 +110,6 @@ class ServerState:
     client_stores: Dict[int, Dict] = field(default_factory=dict)
     round_records: List[RoundRecord] = field(default_factory=list)
     sampler_state: Dict = field(default_factory=dict)
-    availability_state: Dict = field(default_factory=dict)
     warned_non_finite: bool = False
 
     # ------------------------------------------------------------------
@@ -119,7 +127,7 @@ class ServerState:
                               for client_id, store in self.client_stores.items()},
             "round_records": [record.to_json() for record in self.round_records],
             "sampler_state": encode_value(self.sampler_state),
-            "availability_state": encode_value(self.availability_state),
+            "availability_state": {},
             "warned_non_finite": bool(self.warned_non_finite),
         }
 
@@ -130,6 +138,7 @@ class ServerState:
             raise ValueError(
                 f"unsupported checkpoint schema {schema!r} "
                 f"(this build reads schema {CHECKPOINT_SCHEMA})")
+        _refuse_availability_state(payload)
         global_state = payload.get("global_state")
         return cls(
             algorithm=payload["algorithm"],
@@ -144,7 +153,6 @@ class ServerState:
             round_records=[RoundRecord.from_json(record)
                            for record in payload.get("round_records", [])],
             sampler_state=decode_value(payload.get("sampler_state", {})),
-            availability_state=decode_value(payload.get("availability_state", {})),
             warned_non_finite=bool(payload.get("warned_non_finite", False)),
         )
 
@@ -176,8 +184,7 @@ class ServerState:
             "round_records": [record.to_json()
                               for record in self.round_records],
             "sampler_state": encode_with_columns(self.sampler_state, sink),
-            "availability_state": encode_with_columns(self.availability_state,
-                                                      sink),
+            "availability_state": {},
             "warned_non_finite": bool(self.warned_non_finite),
         }
         return manifest, sink.columns
@@ -189,6 +196,7 @@ class ServerState:
             raise ValueError(
                 f"unsupported checkpoint manifest schema {schema!r} "
                 f"(this build reads schema {COLUMNAR_SCHEMA})")
+        _refuse_availability_state(payload)
         global_state = payload.get("global_state")
         return cls(
             algorithm=payload["algorithm"],
@@ -205,8 +213,6 @@ class ServerState:
                            for record in payload.get("round_records", [])],
             sampler_state=decode_with_columns(
                 payload.get("sampler_state", {}), columns),
-            availability_state=decode_with_columns(
-                payload.get("availability_state", {}), columns),
             warned_non_finite=bool(payload.get("warned_non_finite", False)),
         )
 

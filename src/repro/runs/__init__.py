@@ -31,13 +31,14 @@ from .serialize import (
     to_jsonable,
 )
 from .spec import FINGERPRINT_LENGTH, RunKey, SweepSpec, SweepVariant
-from .store import ARRAYS_KEY, RunStore, TIMING_FIELDS
+from .store import ARRAYS_KEY, CorruptRecord, RunStore, TIMING_FIELDS
 
 __all__ = [
     "SweepSpec",
     "SweepVariant",
     "RunKey",
     "RunStore",
+    "CorruptRecord",
     "ARRAYS_KEY",
     "run_sweep",
     "execute_cell",

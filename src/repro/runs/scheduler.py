@@ -155,11 +155,6 @@ class _CellTask:
                 rounds = len(record["result"].get("rounds", []))
                 timing = {"wall_clock_s": elapsed,
                           "mean_round_s": elapsed / rounds if rounds else None}
-            # Churn-affected cells train fewer/different clients per round;
-            # mark them so timing comparisons don't read them as baseline.
-            availability = key.config.availability
-            if availability is not None and availability.is_active:
-                timing["churn"] = True
             numerics = numeric_environment()
             store = RunStore(self.store_root)
             if columns:

@@ -19,8 +19,7 @@ back to the same double).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
-from dataclasses import fields as dataclass_fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -36,7 +35,6 @@ __all__ = [
     "RECORD_SCHEMA",
     "EXECUTION_FIELDS",
     "FINGERPRINTED_FIELDS",
-    "DEFAULT_OMITTED_FIELDS",
     "SWEEP_FINGERPRINTED_FIELDS",
     "SWEEP_COSMETIC_FIELDS",
     "to_jsonable",
@@ -69,8 +67,7 @@ FINGERPRINTED_FIELDS = (
     "batch_size", "learning_rate", "momentum", "weight_decay",
     "personalization_epochs", "personalization_lr",
     "personalization_batch_size", "test_fraction", "num_novel_clients",
-    "seed", "availability", "aggregation", "aggregation_buffer",
-    "staleness_decay",
+    "seed",
 )
 """``FederatedConfig`` knobs that determine results and therefore hash into
 every :class:`~repro.runs.spec.RunKey` fingerprint.  Together with
@@ -78,16 +75,9 @@ every :class:`~repro.runs.spec.RunKey` fingerprint.  Together with
 invariant rule (``repro check``) fails the build if a new field is added
 without deciding which list it belongs to."""
 
-DEFAULT_OMITTED_FIELDS = ("availability", "aggregation",
-                          "aggregation_buffer", "staleness_decay")
-"""Fingerprinted config fields omitted from serialized payloads while at
-their defaults (the ``RunKey.extras`` precedent): the population-plane
-knobs landed after stores already existed, so a default-valued knob must
-not shift any pre-existing fingerprint or checkpoint context."""
-
 SWEEP_FINGERPRINTED_FIELDS = (
     "methods", "settings", "datasets", "seeds", "config", "variants",
-    "availability", "method_overrides", "dataset_kwargs", "encoder",
+    "method_overrides", "dataset_kwargs", "encoder",
     "encoder_width", "encoder_hidden_dims", "extras",
 )
 """``SweepSpec`` fields that flow into each expanded cell's hashed payload.
@@ -147,28 +137,24 @@ def setting_from_jsonable(payload: Dict) -> NonIIDSetting:
                          int(payload["samples_per_client"]))
 
 
-_OMITTED_DEFAULTS = {
-    field.name: field.default for field in dataclass_fields(FederatedConfig)
-    if field.name in DEFAULT_OMITTED_FIELDS
-}
-
-
 def config_to_jsonable(config: FederatedConfig, include_execution: bool = True) -> Dict:
     payload = to_jsonable(asdict(config))
     if not include_execution:
         for name in EXECUTION_FIELDS:
             payload.pop(name, None)
-    # Population-plane knobs serialize only when set: a default-valued
-    # knob must keep old fingerprints/checkpoint contexts byte-stable.
-    # (asdict turns a set AvailabilitySpec into a dict != None, so it
-    # survives; config_from_jsonable coerces it back.)
-    for name, default in _OMITTED_DEFAULTS.items():
-        if name in payload and payload[name] == default:
-            payload.pop(name)
     return payload
 
 
 def config_from_jsonable(payload: Dict) -> FederatedConfig:
+    # A field this build lacks is most likely one of the retired
+    # availability-churn/async-aggregation knobs, which payloads carried
+    # only when set: that run cannot be reproduced here.
+    unknown = sorted(set(payload) - {field.name for field in fields(FederatedConfig)})
+    if unknown:
+        raise ValueError(
+            f"config sets retired or unknown field(s) {', '.join(unknown)}: "
+            "this build cannot reproduce that run (availability churn and "
+            "async aggregation were removed)")
     # Execution fields may be absent (canonical form); defaults fill them in.
     return FederatedConfig(**payload)
 
@@ -233,9 +219,18 @@ def outcome_from_jsonable(payload: Dict) -> ExperimentOutcome:
     )
 
 
-def save_outcome(outcome: ExperimentOutcome, path: Union[str, Path]) -> Path:
-    """Persist one ``ExperimentOutcome`` as JSON (``repro run --out``)."""
-    return atomic_write_text(path, encode_record(outcome_to_jsonable(outcome)))
+def save_outcome(outcome: ExperimentOutcome, path: Union[str, Path],
+                 numerics: Optional[Dict] = None) -> Path:
+    """Persist one ``ExperimentOutcome`` as JSON (``repro run --out``).
+
+    ``numerics`` (the numeric-environment stamp of the computing process)
+    goes under a top-level ``numerics`` key, beside the outcome and never
+    inside ``spec``/``results``/``reports``; :func:`load_outcome` skips it.
+    """
+    payload = outcome_to_jsonable(outcome)
+    if numerics:
+        payload["numerics"] = numerics
+    return atomic_write_text(path, encode_record(payload))
 
 
 def load_outcome(path: Union[str, Path]) -> ExperimentOutcome:

@@ -23,10 +23,8 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from dataclasses import asdict
-
 from ..eval.harness import ExperimentSpec, NonIIDSetting
-from ..fl.config import AvailabilitySpec, FederatedConfig
+from ..fl.config import FederatedConfig
 from .serialize import (
     canonical_json,
     config_from_jsonable,
@@ -164,18 +162,11 @@ class SweepSpec:
     """A declarative grid of experiment cells.
 
     The grid is the cross product ``seeds x datasets x settings x
-    availability x variants x methods``; :meth:`cells` expands it in
+    variants x methods``; :meth:`cells` expands it in
     exactly that nested order, which is the canonical ordering every
     report uses.  Each cell's config is reseeded to the cell's seed
     (``config.seed`` drives round sampling), so one ``SweepSpec`` covers
     multi-seed replication.
-
-    ``availability`` is the population-plane axis: each point is ``None``
-    (no availability model — the historical grid shape) or an
-    :class:`~repro.fl.config.AvailabilitySpec` applied to the cell's
-    config.  Like every semantic knob it hashes into the cell
-    fingerprint; the default single-``None`` axis leaves all pre-existing
-    fingerprints untouched.
     """
 
     name: str
@@ -185,7 +176,6 @@ class SweepSpec:
     seeds: Sequence[int] = (0,)
     config: Optional[FederatedConfig] = None
     variants: Sequence[SweepVariant] = (SweepVariant(),)
-    availability: Sequence[Optional[AvailabilitySpec]] = (None,)
     method_overrides: Dict[str, Dict] = field(default_factory=dict)
     dataset_kwargs: Dict[str, Dict] = field(default_factory=dict)
     encoder: str = "mlp"
@@ -199,26 +189,13 @@ class SweepSpec:
         self.datasets = list(self.datasets)
         self.seeds = [int(seed) for seed in self.seeds]
         self.variants = list(self.variants)
-        if isinstance(self.availability, (AvailabilitySpec, dict)) \
-                or self.availability is None:
-            self.availability = [self.availability]
-        self.availability = [
-            AvailabilitySpec(**point) if isinstance(point, dict) else point
-            for point in self.availability
-        ]
-        for point in self.availability:
-            if point is not None and not isinstance(point, AvailabilitySpec):
-                raise ValueError(
-                    f"availability axis points must be None or "
-                    f"AvailabilitySpec, got {point!r}")
         if self.config is None:
             self.config = FederatedConfig()
         if not self.name:
             raise ValueError("sweep name must be non-empty")
         for axis, label in ((self.methods, "methods"), (self.settings, "settings"),
                             (self.datasets, "datasets"), (self.seeds, "seeds"),
-                            (self.variants, "variants"),
-                            (self.availability, "availability")):
+                            (self.variants, "variants")):
             if not axis:
                 raise ValueError(f"sweep axis '{label}' must be non-empty")
         from ..eval.registry import available_methods
@@ -235,15 +212,14 @@ class SweepSpec:
     @property
     def num_cells(self) -> int:
         return (len(self.seeds) * len(self.datasets) * len(self.settings)
-                * len(self.availability) * len(self.variants)
-                * len(self.methods))
+                * len(self.variants) * len(self.methods))
 
     def merged_overrides(self, method: str, variant: SweepVariant) -> Dict:
         return {**self.method_overrides.get(method, {}), **variant.overrides}
 
     def cells(self) -> List[RunKey]:
         """Expand the grid in canonical order (seed, dataset, setting,
-        availability, variant, method) — the order is part of the
+        variant, method) — the order is part of the
         subsystem's contract: reports index into it, and it never depends
         on completion order."""
         keys: List[RunKey] = []
@@ -252,25 +228,22 @@ class SweepSpec:
             for dataset in self.datasets:
                 kwargs = dict(self.dataset_kwargs.get(dataset, {}))
                 for setting in self.settings:
-                    for point in self.availability:
-                        cell_config = (config if point is None else
-                                       config.with_overrides(availability=point))
-                        for variant in self.variants:
-                            for method in self.methods:
-                                keys.append(RunKey(
-                                    dataset=dataset,
-                                    setting=setting,
-                                    method=method,
-                                    seed=seed,
-                                    config=cell_config,
-                                    variant=variant.label,
-                                    overrides=self.merged_overrides(method, variant),
-                                    encoder=self.encoder,
-                                    encoder_width=self.encoder_width,
-                                    encoder_hidden_dims=tuple(self.encoder_hidden_dims),
-                                    dataset_kwargs=kwargs,
-                                    extras=dict(self.extras),
-                                ))
+                    for variant in self.variants:
+                        for method in self.methods:
+                            keys.append(RunKey(
+                                dataset=dataset,
+                                setting=setting,
+                                method=method,
+                                seed=seed,
+                                config=config,
+                                variant=variant.label,
+                                overrides=self.merged_overrides(method, variant),
+                                encoder=self.encoder,
+                                encoder_width=self.encoder_width,
+                                encoder_hidden_dims=tuple(self.encoder_hidden_dims),
+                                dataset_kwargs=kwargs,
+                                extras=dict(self.extras),
+                            ))
         return keys
 
     def cells_for(self, seed: Optional[int] = None, dataset: Optional[str] = None,
@@ -285,17 +258,15 @@ class SweepSpec:
                            name: str = "") -> ExperimentSpec:
         """Collapse a single-panel sweep back into one multi-method spec.
 
-        Only valid when the grid has exactly one dataset, setting,
-        availability point, and variant (the Fig. 3/4 shape); ``seed``
-        defaults to the sweep's single seed and must be one of ``seeds``
-        otherwise.
+        Only valid when the grid has exactly one dataset, setting, and
+        variant (the Fig. 3/4 shape); ``seed`` defaults to the sweep's
+        single seed and must be one of ``seeds`` otherwise.
         """
         if len(self.datasets) != 1 or len(self.settings) != 1 \
-                or len(self.variants) != 1 or len(self.availability) != 1:
+                or len(self.variants) != 1:
             raise ValueError(
                 "to_experiment_spec needs a single-panel sweep "
                 f"(got {len(self.datasets)} datasets, {len(self.settings)} settings, "
-                f"{len(self.availability)} availability points, "
                 f"{len(self.variants)} variants)")
         if seed is None:
             if len(self.seeds) != 1:
@@ -305,13 +276,10 @@ class SweepSpec:
             raise ValueError(f"seed {seed} not in sweep seeds {self.seeds}")
         variant = self.variants[0]
         dataset = self.datasets[0]
-        overrides = {"seed": seed}
-        if self.availability[0] is not None:
-            overrides["availability"] = self.availability[0]
         return ExperimentSpec(
             dataset=dataset,
             setting=self.settings[0],
-            config=self.config.with_overrides(**overrides),
+            config=self.config.with_overrides(seed=seed),
             methods=list(self.methods),
             encoder=self.encoder,
             encoder_width=self.encoder_width,
@@ -340,11 +308,6 @@ class SweepSpec:
             "encoder_hidden_dims": [int(d) for d in self.encoder_hidden_dims],
             "fingerprints": [key.fingerprint for key in self.cells()],
         }
-        if self.availability != [None]:
-            payload["availability"] = [
-                None if point is None else asdict(point)
-                for point in self.availability
-            ]
         if self.extras:
             payload["extras"] = to_jsonable(self.extras)
         return payload

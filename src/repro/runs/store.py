@@ -33,8 +33,8 @@ from ..ioutil import safe_filename
 from .serialize import atomic_write_text, encode_record
 from .spec import RunKey, SweepSpec
 
-__all__ = ["RunStore", "ARRAYS_KEY", "TIMING_FIELDS", "RESUMED_FIELD",
-           "CHURN_FIELD", "NUMERICS_FIELD"]
+__all__ = ["RunStore", "CorruptRecord", "ARRAYS_KEY", "TIMING_FIELDS",
+           "RESUMED_FIELD", "NUMERICS_FIELD"]
 
 ARRAYS_KEY = "__arrays__"
 """Reserved record key carrying in-memory array columns.
@@ -68,12 +68,6 @@ would poison timing comparisons — so ``repro report --timings`` can tell
 
 RESUMED_FIELD = "resumed"
 
-CHURN_FIELD = "churn"
-"""Marker on cells executed under an active availability model
-(:mod:`repro.fl.population`).  Churned cells run fewer (and different)
-clients per round, so their wall clocks are not comparable with the full
-grid's — ``repro report --timings`` flags them the way it flags resumes."""
-
 
 NUMERICS_FIELD = "numerics"
 """The numeric-environment stamp of the process that computed the cell
@@ -99,11 +93,14 @@ def _index_entry(record: Dict, timing: Optional[Dict] = None,
                       if timing.get(name) is not None})
         if timing.get(RESUMED_FIELD):
             entry[RESUMED_FIELD] = True
-        if timing.get(CHURN_FIELD):
-            entry[CHURN_FIELD] = True
     if numerics:
         entry[NUMERICS_FIELD] = numerics
     return entry
+
+
+class CorruptRecord(ValueError):
+    """A cell record that exists but does not parse (a torn or truncated
+    file); the message names the file."""
 
 
 class RunStore:
@@ -171,8 +168,11 @@ class RunStore:
         path = self.path_for(key)
         if not path.is_file():
             raise KeyError(f"no record for cell {_fingerprint_of(key)} in {self.root}")
-        with open(path) as stream:
-            return json.load(stream)
+        try:
+            with open(path) as stream:
+                return json.load(stream)
+        except ValueError as error:
+            raise CorruptRecord(f"corrupt cell record {path}: {error}") from error
 
     # ------------------------------------------------------------------
     def missing(self, cells: Sequence[RunKey]) -> List[RunKey]:
@@ -217,8 +217,6 @@ class RunStore:
                       if entry.get(name) is not None}
             if entry.get(RESUMED_FIELD):
                 timing[RESUMED_FIELD] = True
-            if entry.get(CHURN_FIELD):
-                timing[CHURN_FIELD] = True
             if timing:
                 timings[entry["fingerprint"]] = timing
         return timings

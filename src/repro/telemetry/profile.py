@@ -236,22 +236,15 @@ def render_profile(cells: Sequence[Tuple[str, CellTelemetry]],
                          f" total={_fmt_s(stat.total_s)}"
                          f" mean={_fmt_s(stat.mean_s)}"
                          f" max={_fmt_s(stat.max_s)}")
-        # Mid-round dropouts never produce a client span, so the straggler
-        # spread silently excludes them; attribute them explicitly or the
-        # spread reads as "fleet health" when part of the fleet vanished.
-        dropped = profile.counters.get("round.dropouts", 0.0)
         for name in CLIENT_SPAN_NAMES:
             stats = profile.clients.get(name)
             if stats is None:
                 continue
-            dropped_text = (f" dropped={dropped:g}"
-                            if dropped and name != "client_personalize" else "")
             lines.append(f"  {name:<14} n={stats.count:<4}"
                          f" total={_fmt_s(stats.total_s)}"
                          f" median={_fmt_s(stats.median_s)}"
                          f" max={_fmt_s(stats.max_s)}"
-                         f" straggler_spread={_fmt_s(stats.straggler_spread_s)}"
-                         f"{dropped_text}")
+                         f" straggler_spread={_fmt_s(stats.straggler_spread_s)}")
         if profile.worker_busy_s and profile.cell_duration_s > 0:
             busiest = sorted(profile.worker_busy_s.items(),
                              key=lambda item: -item[1])

@@ -1,74 +1,11 @@
-"""Fixture corpus for POP001/POP002 (population-plane contracts).
+"""Fixture corpus for POP002 (replay-pure participant sampling).
 
-POP001 is a project-level rule over the config dataclass; POP002 is a
-per-file rule scoped to the sampler and population modules.
+POP002 is a per-file rule scoped to the sampler module.
 """
-
-from pathlib import Path
-
-from repro.analysis import Project
-from repro.analysis.project import parse_snippet
-from repro.analysis.registry import RULES
 
 from .helpers import rule_diagnostics, rule_ids
 
-CONFIG_REL = "src/repro/fl/config.py"
 SAMPLER_REL = "src/repro/fl/sampler.py"
-AVAILABILITY_REL = "src/repro/fl/population/availability.py"
-
-CONFIG_OK = (
-    "from dataclasses import dataclass\n"
-    "@dataclass\n"
-    "class FederatedConfig:\n"
-    "    rounds: int = 5\n"
-    "    aggregation: str = 'sync'\n"
-    "    availability: object = None\n"
-)
-
-
-def _check_config(text):
-    project = Project(root=Path("."),
-                      files=[parse_snippet(CONFIG_REL, text)])
-    return list(RULES["POP001"].check_project(project))
-
-
-class TestPop001AsyncOptIn:
-    def test_flags_flipped_aggregation_default(self):
-        found = _check_config(CONFIG_OK.replace("'sync'", "'buffered'"))
-        assert rule_ids(found) == ["POP001"]
-        assert "aggregation" in found[0].message
-
-    def test_flags_non_none_availability_default(self):
-        found = _check_config(CONFIG_OK.replace(
-            "    availability: object = None\n",
-            "    availability: object = make_default_spec()\n"))
-        assert rule_ids(found) == ["POP001"]
-        assert "availability" in found[0].message
-
-    def test_flags_default_removed(self):
-        # A field declared without any default is just as much an
-        # opt-in violation as a wrong literal.
-        found = _check_config(CONFIG_OK.replace(
-            "    aggregation: str = 'sync'\n", "    aggregation: str\n"))
-        assert rule_ids(found) == ["POP001"]
-
-    def test_near_miss_correct_defaults(self):
-        assert _check_config(CONFIG_OK) == []
-
-    def test_near_miss_fields_absent(self):
-        # Removal of the fields entirely is FPR001's story, not POP001's.
-        stripped = (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class FederatedConfig:\n"
-            "    rounds: int = 5\n"
-        )
-        assert _check_config(stripped) == []
-
-    def test_near_miss_partial_tree(self):
-        project = Project(root=Path("."),
-                          files=[parse_snippet("src/repro/x.py", "X = 1\n")])
-        assert list(RULES["POP001"].check_project(project)) == []
 
 
 class TestPop002StoredGenerator:
@@ -83,18 +20,18 @@ class TestPop002StoredGenerator:
         assert "self._rng" in found[0].message
 
     def test_flags_annotated_attribute_assignment(self):
-        found = rule_diagnostics("POP002", AVAILABILITY_REL, (
-            "from ..client import derive_rng\n"
-            "class Model:\n"
+        found = rule_diagnostics("POP002", SAMPLER_REL, (
+            "from .client import derive_rng\n"
+            "class Sampler:\n"
             "    def reset(self, seed):\n"
             "        self.rng: object = derive_rng(seed, 2)\n"
         ))
         assert rule_ids(found) == ["POP002"]
 
     def test_flags_qualified_call(self):
-        found = rule_diagnostics("POP002", AVAILABILITY_REL, (
+        found = rule_diagnostics("POP002", SAMPLER_REL, (
             "from repro.fl import client\n"
-            "class Model:\n"
+            "class Sampler:\n"
             "    def reset(self, seed):\n"
             "        self.rng = client.derive_rng(seed, 2)\n"
         ))

@@ -1,11 +1,14 @@
 """Tests for the per-figure sweep definitions and store-backed reporting."""
 
+import hashlib
+
 import pytest
 
 from repro.eval import NonIIDSetting, format_ablation_table
 from repro.experiments import (
     TABLE1_TOGGLES,
     TABLE1_VARIANTS,
+    embeddings_sweep,
     fig3_sweep,
     fig4_sweep,
     run_table1,
@@ -20,6 +23,34 @@ TINY_CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
                               personalization_epochs=2, seed=0)
 TINY_DATASET = dict(image_size=8, train_per_class=16, test_per_class=4)
 TINY_SETTING = NonIIDSetting("quantity", 2, 20)
+
+# (grid, cell count, sha256[:16] of its space-joined cell fingerprints) for
+# every paper artifact's default grid.  A fingerprint is the store address
+# of a cell, so any drift here orphans every stored cell of that artifact.
+GRID_FINGERPRINTS = [
+    ("table1", 12, "8dc11940e3259c2d"),
+    ("fig3-panel0", 20, "a855e2e457c33d3c"),
+    ("fig3-panel1", 20, "aebb489b2dc2d143"),
+    ("fig3-panel2", 20, "23e3cd4844ef47ec"),
+    ("fig3-panel3", 20, "c736d9ac80ebc9a3"),
+    ("fig4-panel0", 12, "20b06cc451fb5b74"),
+    ("fig4-panel1", 12, "180c6ac6aacd3201"),
+    ("fig1", 2, "2aca5315eeeb3f2e"),
+    ("fig2", 2, "2aca5315eeeb3f2e"),
+    ("fig5", 4, "d5693755c2c6d0f4"),
+    ("fig6", 2, "ba01a2ace19ee0e9"),
+    ("fig7", 6, "78af86a7d6bc3ea3"),
+    ("fig8", 6, "91ae8613e19e3b5e"),
+]
+
+
+def artifact_sweep(grid):
+    if grid == "table1":
+        return table1_sweep()
+    if grid.startswith(("fig3-", "fig4-")):
+        build = fig3_sweep if grid.startswith("fig3") else fig4_sweep
+        return build(int(grid[-1]))
+    return embeddings_sweep(grid)
 
 
 class TestSweepDefinitions:
@@ -57,6 +88,15 @@ class TestSweepDefinitions:
             fig3_sweep(9)
         with pytest.raises(IndexError):
             fig4_sweep(5)
+
+
+@pytest.mark.parametrize("grid,cells,digest", GRID_FINGERPRINTS,
+                         ids=[grid for grid, _, _ in GRID_FINGERPRINTS])
+def test_artifact_grid_fingerprints_are_pinned(grid, cells, digest):
+    fingerprints = [key.fingerprint for key in artifact_sweep(grid).cells()]
+    assert len(fingerprints) == cells
+    assert hashlib.sha256(" ".join(fingerprints).encode()).hexdigest()[:16] \
+        == digest
 
 
 class TestTable1RowOrdering:

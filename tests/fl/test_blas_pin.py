@@ -1,4 +1,5 @@
-"""The one-thread BLAS pin: CLI entry, every pool worker, and the stamp."""
+"""The one-thread BLAS pin: CLI entry, library entry points, every pool
+worker, and the stamp."""
 
 import ctypes
 import os
@@ -45,6 +46,46 @@ def test_cli_main_pins_the_process(two_threads, capsys):
     capsys.readouterr()
     assert blas_threads() == 1
     assert {os.environ[name] for name in BLAS_THREAD_VARS} == {"1"}
+
+
+def test_training_session_pins_the_process(two_threads):
+    import numpy as np
+
+    from repro.data import make_cifar10_like, partition_iid
+    from repro.eval import build_method
+    from repro.eval.harness import EncoderSpec
+    from repro.fl import FederatedConfig, TrainingSession, build_federation
+
+    config = FederatedConfig(num_clients=2, clients_per_round=1, rounds=1)
+    dataset = make_cifar10_like(image_size=8, train_per_class=4,
+                                test_per_class=1, seed=0)
+    parts = partition_iid(dataset.train.labels, 2, np.random.default_rng(0))
+    algorithm = build_method("fedavg", config, 10,
+                             EncoderSpec(kind="mlp", channels=3, image_size=8,
+                                         hidden_dims=(8,), seed=0))
+    TrainingSession(algorithm, build_federation(dataset, parts, seed=0), config)
+    assert blas_threads() == 1
+
+
+def test_run_experiment_pins_before_building_the_dataset(two_threads,
+                                                         monkeypatch):
+    from repro.eval import NonIIDSetting, harness
+    from repro.fl import FederatedConfig
+
+    seen = []
+
+    def record_threads(*args, **kwargs):
+        seen.append(blas_threads())
+        raise RuntimeError("stop after the dataset would be built")
+
+    monkeypatch.setattr(harness, "make_dataset", record_threads)
+    spec = harness.ExperimentSpec(
+        dataset="cifar10", setting=NonIIDSetting("iid", 0, 8),
+        config=FederatedConfig(num_clients=2, clients_per_round=1),
+        methods=["fedavg"])
+    with pytest.raises(RuntimeError, match="stop after"):
+        harness.run_experiment(spec)
+    assert seen == [1]
 
 
 def test_numeric_environment_stamp():

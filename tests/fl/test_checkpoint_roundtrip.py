@@ -332,6 +332,23 @@ class TestCheckpointFiles:
             ServerState.from_json({"schema": 999, "algorithm": "x",
                                    "round_index": 0})
 
+    @pytest.mark.parametrize("arrays", ["json", "columnar"])
+    def test_non_empty_availability_state_is_refused(self, tmp_path, arrays):
+        # Written by builds that modelled availability churn; resuming one
+        # here would silently drop the churn.
+        session = make_session("scaffold", tiny_config())
+        session.run_until(1)
+        path = write_checkpoint(session.capture_state(), tmp_path / "c.json",
+                                arrays=arrays)
+        payload = json.loads(path.read_text())
+        assert payload["availability_state"] == {}
+        payload["availability_state"] = {"cursor": 1}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as error:
+            read_checkpoint(path)
+        assert len(str(error.value).splitlines()) == 1
+        assert "non-empty availability_state" in str(error.value)
+
     def test_manifest_round_index_is_plain_json(self, tmp_path):
         # Progress pollers (mid_cell_resume_smoke) read the cursor with a
         # bare json.loads — no codec, no sidecar.

@@ -190,6 +190,18 @@ class TestStepAndRunUntil:
         with pytest.raises(RuntimeError):
             session.personalize()
 
+    def test_every_round_runs_the_sampled_clients(self):
+        config = tiny_config(rounds=3)
+        algorithm = TraceAlgorithm(config)
+        session = TrainingSession(algorithm, make_clients(4), config)
+        session.run()
+        for record in session.round_records:
+            updated = [client_id for kind, round_index, client_id
+                       in algorithm.calls if round_index == record.round_index]
+            assert record.participant_ids == updated
+            assert len(updated) == config.clients_per_round
+            assert record.metrics == {"non_finite_losses": 0.0}
+
     def test_requires_clients(self):
         config = tiny_config()
         with pytest.raises(ValueError):
@@ -370,6 +382,17 @@ class TestRestoreValidation:
         with pytest.raises(ValueError, match="context"):
             fresh.restore_state(state)
 
+    @pytest.mark.parametrize("overrides,context", [
+        ({}, "bf829dcc14d25eff"),
+        ({"seed": 7, "rounds": 2}, "489e9cc6bb3ae931"),
+    ])
+    def test_context_is_pinned(self, overrides, context):
+        # Checkpoints on disk carry this digest; a drift would make every
+        # one of them refuse to resume.
+        config = tiny_config(**overrides)
+        session = TrainingSession(TraceAlgorithm(config), make_clients(4), config)
+        assert session.context == context
+
     def test_execution_knobs_do_not_change_context(self):
         config = tiny_config()
         process_config = tiny_config(backend="process", workers=2)
@@ -388,3 +411,30 @@ class TestRestoreValidation:
         session.run()  # keep training; the snapshot must not move
         assert json.dumps(state.to_json()) == frozen
         assert state.round_index == 1
+
+
+@pytest.mark.parametrize("name", [
+    "VirtualPopulation", "ClientDescriptor", "AvailabilityModel",
+    "BufferedAccumulator", "AvailabilitySpec", "AGGREGATION_POLICIES",
+])
+def test_population_plane_stays_removed(name):
+    import repro.fl
+
+    assert not hasattr(repro.fl, name)
+    assert name not in repro.fl.__all__
+
+
+def test_population_package_is_gone():
+    import importlib
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.fl.population")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("availability", {"availability": 0.5}), ("aggregation", "buffered"),
+    ("aggregation_buffer", 4), ("staleness_decay", 0.75),
+])
+def test_retired_config_fields_are_unknown(field, value):
+    with pytest.raises(ValueError, match="unknown FederatedConfig override"):
+        tiny_config().with_overrides(**{field: value})

@@ -62,6 +62,25 @@ class TestRunKeyConversions:
         assert clone.method == key.method
         assert clone.setting == key.setting
 
+    @pytest.mark.parametrize("retired", [
+        {"aggregation": "buffered"},
+        {"aggregation_buffer": 4},
+        {"staleness_decay": 0.75},
+        {"availability": {"availability": 0.5, "churn": 1.0, "dropout": 0.0,
+                          "speed_spread": 0.0}},
+        {"availability": {"availability": 0.5, "churn": 1.0, "dropout": 0.0,
+                          "speed_spread": 0.0},
+         "staleness_decay": 0.75},
+    ])
+    def test_retired_population_fields_are_refused(self, retired):
+        payload = make_key().to_jsonable()
+        payload["config"].update(retired)
+        with pytest.raises(ValueError) as error:
+            RunKey.from_jsonable(payload)
+        message = str(error.value)
+        assert len(message.splitlines()) == 1
+        assert f"retired or unknown field(s) {', '.join(sorted(retired))}" in message
+
     def test_to_spec_is_single_method(self):
         key = make_key(overrides={"num_prototypes": 5})
         spec = key.to_spec()

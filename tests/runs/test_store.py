@@ -8,7 +8,7 @@ import pytest
 from repro.arrays import CorruptArrayFile
 from repro.eval import NonIIDSetting
 from repro.fl import FederatedConfig
-from repro.runs import RunStore, SweepSpec
+from repro.runs import CorruptRecord, RunStore, SweepSpec
 
 CONFIG = FederatedConfig(num_clients=4, clients_per_round=2, rounds=1,
                          local_epochs=1, batch_size=16,
@@ -46,6 +46,26 @@ class TestRunStore:
     def test_missing_record_raises_keyerror(self, tmp_path):
         with pytest.raises(KeyError):
             RunStore(tmp_path).read_record("deadbeef00000000")
+
+    def test_truncated_record_raises_corrupt_record(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = make_sweep().cells()[0]
+        path = store.write_record(fake_record(key))
+        path.write_text(path.read_text()[:25])
+        with pytest.raises(CorruptRecord) as error:
+            store.read_record(key)
+        assert isinstance(error.value, ValueError)
+        assert str(path) in str(error.value)
+        with pytest.raises(CorruptRecord):
+            store.load_records([key])
+
+    def test_undecodable_record_raises_corrupt_record(self, tmp_path):
+        store = RunStore(tmp_path)
+        key = make_sweep().cells()[0]
+        path = store.write_record(fake_record(key))
+        path.write_bytes(b"\xff\xfe\x00 not json")
+        with pytest.raises(CorruptRecord, match=path.name):
+            store.read_record(key)
 
     def test_record_without_fingerprint_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -12,12 +12,6 @@ TINY_SWEEP_ARGS = [
     "--rounds", "1", "--clients", "4", "--samples", "20",
 ]
 
-POPULATION_ARGS = [
-    "--availability", "0.5", "--churn", "0.25", "--dropout", "0.1",
-    "--speed-spread", "0.2", "--aggregation-buffer", "4",
-    "--staleness-decay", "0.75",
-]
-
 # `repro sweep` arguments and the `repro report` hint printed for them,
 # captured before the flags were declared in one table: they pin the hint
 # byte for byte.
@@ -25,18 +19,12 @@ HINT_GOLDENS = [
     (["--exp", "fig3", "--panel", "2", "--runs-dir", "d", "--seeds", "0", "1",
       "--methods", "fedavg", "script-fair", "--rounds", "3", "--clients", "6",
       "--samples", "20", "--novel", "4", "--embed-clients", "3",
-      "--embed-samples", "5", "--tsne-iterations", "50",
-      "--aggregation", "buffered"] + POPULATION_ARGS,
+      "--embed-samples", "5", "--tsne-iterations", "50"],
      "--exp fig3 --runs-dir d --panel 2 --seeds 0 1 --methods fedavg "
      "script-fair --rounds 3 --clients 6 --samples 20 --embed-clients 3 "
-     "--embed-samples 5 --tsne-iterations 50 --availability 0.5 --churn 0.25 "
-     "--dropout 0.1 --speed-spread 0.2 --aggregation buffered "
-     "--aggregation-buffer 4 --staleness-decay 0.75"),
-    (["--exp", "fig4", "--runs-dir", "d", "--novel", "3",
-      "--aggregation", "staleness"] + POPULATION_ARGS,
-     "--exp fig4 --runs-dir d --panel 0 --novel 3 --availability 0.5 "
-     "--churn 0.25 --dropout 0.1 --speed-spread 0.2 --aggregation staleness "
-     "--aggregation-buffer 4 --staleness-decay 0.75"),
+     "--embed-samples 5 --tsne-iterations 50"),
+    (["--exp", "fig4", "--runs-dir", "d", "--novel", "3"],
+     "--exp fig4 --runs-dir d --panel 0 --novel 3"),
     (["--exp", "fig5", "--runs-dir", "d", "--embed-clients", "3",
       "--embed-samples", "5", "--tsne-iterations", "50"],
      "--exp fig5 --runs-dir d --embed-clients 3 --embed-samples 5 "
@@ -107,10 +95,6 @@ class TestMain:
          "--panel: panel_index must be in [0, 3]"),
         (["report", "--exp", "fig4", "--panel", "7"],
          "--panel: panel_index must be in [0, 1]"),
-        (["run", "--method", "fedavg", "--availability", "2"],
-         "availability must be in (0, 1], got 2.0"),
-        (["run", "--method", "fedavg", "--aggregation-buffer", "0"],
-         "aggregation_buffer must be an integer >= 1, got 0"),
     ])
     def test_usage_errors_exit_2_with_one_line(self, capsys, tmp_path,
                                                argv, message):
@@ -133,6 +117,17 @@ class TestMain:
         again = build_parser().parse_args(["report"] + shlex.split(hint))
         assert ([key.fingerprint for key in _build_sweep(again).cells()]
                 == [key.fingerprint for key in _build_sweep(args).cells()])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--method", "fedavg", "--availability", "0.5"],
+        ["run", "--method", "fedavg", "--aggregation", "buffered"],
+        ["sweep", "--exp", "table1", "--runs-dir", "d", "--dropout", "0.1"],
+    ])
+    def test_retired_population_flags_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_report_hint_goldens_set_every_grid_flag(self):
         # A grid flag added to the table must be set in a golden above, so
@@ -163,10 +158,24 @@ class TestMain:
         assert f"wrote {out_path}" in capsys.readouterr().out
         payload = json.loads(out_path.read_text())
         assert set(payload["results"]) == {"script-fair"}
+        # The numeric stamp sits beside the outcome, never inside it.
+        assert payload["numerics"]["blas_threads"] in (1, None)
+        assert payload["numerics"]["numpy"]
+        assert "numerics" not in json.dumps(
+            [payload["spec"], payload["results"], payload["reports"]])
         from repro.runs import load_outcome
 
         outcome = load_outcome(out_path)
         assert outcome.reports["script-fair"].num_clients == 4
+
+        # An outcome computed under async aggregation cannot be reproduced
+        # any more: loading it fails with one line naming the field.
+        payload["spec"]["config"]["aggregation"] = "buffered"
+        out_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as error:
+            load_outcome(out_path)
+        assert len(str(error.value).splitlines()) == 1
+        assert "retired or unknown field(s) aggregation" in str(error.value)
 
 
 class TestSweepCommands:
@@ -277,6 +286,26 @@ class TestSweepCommands:
         assert '"blas_threads": 1' in mixed.err
         assert '"blas_threads": 4' in mixed.err
         assert "unstamped" not in mixed.err
+
+    @pytest.mark.parametrize("argv", [
+        ["report"], ["sweep", "--quiet"],
+        ["figures", "fig3", "--out", "unused.svg"],
+    ], ids=["report", "sweep", "figures"])
+    def test_truncated_cell_record_is_one_line(self, capsys, tmp_path, argv):
+        runs_dir = tmp_path / "store"
+        base = ["--runs-dir", str(runs_dir)] + TINY_SWEEP_ARGS
+        assert main(["sweep", "--quiet"] + base) == 0
+        capsys.readouterr()
+        cell = sorted((runs_dir / "cells").glob("*.json"))[0]
+        cell.write_text(cell.read_text()[:40])
+
+        if argv[0] == "figures":
+            base = [arg for arg in base if arg not in ("--exp", "fig3")]
+        assert main(argv + base) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert str(cell) in err
+        assert "delete it and re-run `repro sweep`" in err
 
     def test_run_resume_requires_checkpoints(self, capsys):
         assert main(["run", "--method", "script-fair", "--resume"]) == 2
