@@ -5,6 +5,8 @@ invocation boilerplate — the ``PYTHONPATH=src`` environment, failure
 reporting, and the sweep-summary parser — lives here once.  The scripts
 run standalone (``python benchmarks/<name>.py``), which puts this
 directory on ``sys.path``, so they import this module by bare name.
+Importing it also puts the checkout's ``src/`` on ``sys.path``, so a smoke
+that imports ``repro`` in-process runs from a plain, uninstalled checkout.
 """
 
 import os
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
 
 SUMMARY_PATTERN = re.compile(
     r"executed=(\d+) skipped=(\d+) deferred=(\d+) total=(\d+)")

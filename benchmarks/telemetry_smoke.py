@@ -30,8 +30,7 @@ from pathlib import Path
 
 from smoke_common import REPO_ROOT, fail, run_cli, summary_counts
 
-sys.path.insert(0, str(REPO_ROOT / "src"))
-from repro.telemetry import parse_sidecar, validate_chrome_trace  # noqa: E402
+from repro.telemetry import parse_sidecar, validate_chrome_trace
 
 GRID_ARGS = [
     "--exp", "fig3", "--panel", "0", "--methods", "script-fair", "fedavg",

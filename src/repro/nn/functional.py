@@ -211,8 +211,8 @@ def conv2d(
     out = x._make_output(out_data, parents)
     if out.requires_grad:
 
-        def _backward():
-            grad = out.grad.reshape(n, c_out, ho * wo)
+        def _backward(grad):
+            grad = grad.reshape(n, c_out, ho * wo)
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2)))
             if weight.requires_grad:
@@ -246,9 +246,9 @@ def max_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     out = x._make_output(out_data, (x,))
     if out.requires_grad:
 
-        def _backward():
+        def _backward(grad):
             grad_flat = np.zeros_like(flat)
-            np.put_along_axis(grad_flat, arg[:, :, None], out.grad[:, :, None], axis=2)
+            np.put_along_axis(grad_flat, arg[:, :, None], grad[:, :, None], axis=2)
             grad_cols = grad_flat.reshape(n, c, kernel[0], kernel[1], ho, wo)
             x._accumulate(_col2im(grad_cols, x.shape, kernel, stride_hw, padding_hw))
 
@@ -270,11 +270,11 @@ def avg_pool2d(x: Tensor, kernel_size: IntPair, stride: Optional[IntPair] = None
     out = x._make_output(out_data, (x,))
     if out.requires_grad:
 
-        def _backward():
+        def _backward(grad):
             spread = np.broadcast_to(
-                out.grad[:, :, None, None] / window,
+                grad[:, :, None, None] / window,
                 (n, c, kernel[0], kernel[1], ho, wo),
-            ).astype(out.grad.dtype)
+            ).astype(grad.dtype)
             x._accumulate(_col2im(spread, x.shape, kernel, stride_hw, padding_hw))
 
         out._backward = _backward

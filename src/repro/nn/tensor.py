@@ -15,6 +15,15 @@ algorithms require:
 
 Gradients broadcast exactly like numpy: the helper :func:`unbroadcast`
 reduces an upstream gradient back to a parent's shape.
+
+Graph lifetime.  Every graph is acyclic: a backward closure receives its
+output's gradient as an argument (``node._backward(grad)``) and refers only
+to its parents and saved arrays, never to its own output.  Reference
+counting therefore frees a graph as soon as its last output is dropped,
+with or without a backward pass.  ``backward()`` releases the graph it
+walked — each interior node drops its closure and parent edges, keeping
+its ``.grad`` — and a second ``backward()`` that reaches a released node
+raises :exc:`RuntimeError` before touching any gradient.
 """
 
 from __future__ import annotations
@@ -102,6 +111,16 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_RELEASED_MESSAGE = (
+    "backward() through a graph a second time: the first backward() "
+    "released it; run the forward again")
+
+
+def _released_backward(grad: np.ndarray) -> None:
+    """Stand-in closure of an interior node whose graph was released."""
+    raise RuntimeError(_RELEASED_MESSAGE)
+
+
 def as_tensor(value: ArrayLike, dtype=None) -> "Tensor":
     """Coerce ``value`` into a :class:`Tensor` (no copy when already one)."""
     if isinstance(value, Tensor):
@@ -134,7 +153,7 @@ class Tensor:
         self.data: np.ndarray = array
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
 
@@ -187,9 +206,9 @@ class Tensor:
         out = self._make_output(self.data.astype(dtype), (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad.astype(self.data.dtype))
+                    self._accumulate(grad.astype(self.data.dtype))
 
             out._backward = _backward
         return out
@@ -215,10 +234,12 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Run reverse-mode autodiff from this tensor.
+        """Run reverse-mode autodiff from this tensor, then release its graph.
 
         ``grad`` defaults to ones (and must be provided for non-scalar
         outputs only when a custom seed is desired; ones are broadcast).
+        Raises :exc:`RuntimeError` when the graph reaches a node an
+        earlier ``backward()`` already released.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -238,6 +259,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _released_backward:
+                raise RuntimeError(_RELEASED_MESSAGE)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -247,7 +270,14 @@ class Tensor:
         self._accumulate(seed)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
+        # Release the walked graph: every interior node drops its closure
+        # (and the saved arrays it holds) and its parent edges, so the
+        # graph's memory goes back as soon as the caller drops the output.
+        for node in topo:
+            if node._backward is not None:
+                node._backward = _released_backward
+                node._parents = ()
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -257,11 +287,11 @@ class Tensor:
         out = self._make_output(self.data + other.data, (self, other))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(unbroadcast(out.grad, self.shape))
+                    self._accumulate(unbroadcast(grad, self.shape))
                 if other.requires_grad:
-                    other._accumulate(unbroadcast(out.grad, other.shape))
+                    other._accumulate(unbroadcast(grad, other.shape))
 
             out._backward = _backward
         return out
@@ -272,9 +302,9 @@ class Tensor:
         out = self._make_output(-self.data, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(-out.grad)
+                    self._accumulate(-grad)
 
             out._backward = _backward
         return out
@@ -290,11 +320,11 @@ class Tensor:
         out = self._make_output(self.data * other.data, (self, other))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(unbroadcast(out.grad * other.data, self.shape))
+                    self._accumulate(unbroadcast(grad * other.data, self.shape))
                 if other.requires_grad:
-                    other._accumulate(unbroadcast(out.grad * self.data, other.shape))
+                    other._accumulate(unbroadcast(grad * self.data, other.shape))
 
             out._backward = _backward
         return out
@@ -306,12 +336,12 @@ class Tensor:
         out = self._make_output(self.data / other.data, (self, other))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(unbroadcast(out.grad / other.data, self.shape))
+                    self._accumulate(unbroadcast(grad / other.data, self.shape))
                 if other.requires_grad:
                     other._accumulate(
-                        unbroadcast(-out.grad * self.data / (other.data**2), other.shape)
+                        unbroadcast(-grad * self.data / (other.data**2), other.shape)
                     )
 
             out._backward = _backward
@@ -326,9 +356,9 @@ class Tensor:
         out = self._make_output(self.data**exponent, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+                    self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
             out._backward = _backward
         return out
@@ -338,8 +368,7 @@ class Tensor:
         out = self._make_output(self.data @ other.data, (self, other))
         if out.requires_grad:
 
-            def _backward():
-                grad = out.grad
+            def _backward(grad):
                 if self.requires_grad:
                     if other.data.ndim == 1:
                         self._accumulate(np.outer(grad, other.data) if grad.ndim else grad * other.data)
@@ -364,9 +393,9 @@ class Tensor:
         out = self._make_output(value, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * value)
+                    self._accumulate(grad * value)
 
             out._backward = _backward
         return out
@@ -375,9 +404,9 @@ class Tensor:
         out = self._make_output(np.log(self.data), (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad / self.data)
+                    self._accumulate(grad / self.data)
 
             out._backward = _backward
         return out
@@ -387,9 +416,9 @@ class Tensor:
         out = self._make_output(value, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * 0.5 / value)
+                    self._accumulate(grad * 0.5 / value)
 
             out._backward = _backward
         return out
@@ -399,9 +428,9 @@ class Tensor:
         out = self._make_output(value, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * (1.0 - value**2))
+                    self._accumulate(grad * (1.0 - value**2))
 
             out._backward = _backward
         return out
@@ -411,9 +440,9 @@ class Tensor:
         out = self._make_output(value, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * value * (1.0 - value))
+                    self._accumulate(grad * value * (1.0 - value))
 
             out._backward = _backward
         return out
@@ -423,9 +452,9 @@ class Tensor:
         out = self._make_output(self.data * mask, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * mask)
+                    self._accumulate(grad * mask)
 
             out._backward = _backward
         return out
@@ -436,9 +465,9 @@ class Tensor:
         out = self._make_output(self.data * scale, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * scale)
+                    self._accumulate(grad * scale)
 
             out._backward = _backward
         return out
@@ -448,9 +477,9 @@ class Tensor:
         out = self._make_output(np.abs(self.data), (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * sign)
+                    self._accumulate(grad * sign)
 
             out._backward = _backward
         return out
@@ -465,9 +494,9 @@ class Tensor:
         out = self._make_output(value, (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad * inside)
+                    self._accumulate(grad * inside)
 
             out._backward = _backward
         return out
@@ -479,10 +508,9 @@ class Tensor:
         out = self._make_output(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if not self.requires_grad:
                     return
-                grad = out.grad
                 if axis is not None and not keepdims:
                     axes = axis if isinstance(axis, tuple) else (axis,)
                     axes = tuple(a % self.data.ndim for a in axes)
@@ -513,10 +541,9 @@ class Tensor:
             mask = (self.data == expanded).astype(self.data.dtype)
             mask = mask / mask.sum(axis=axis, keepdims=True)
 
-            def _backward():
+            def _backward(grad):
                 if not self.requires_grad:
                     return
-                grad = out.grad
                 if axis is not None and not keepdims:
                     axes = axis if isinstance(axis, tuple) else (axis,)
                     axes = tuple(a % self.data.ndim for a in axes)
@@ -538,9 +565,9 @@ class Tensor:
         out = self._make_output(self.data.reshape(shape), (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad.reshape(self.shape))
+                    self._accumulate(grad.reshape(self.shape))
 
             out._backward = _backward
         return out
@@ -558,9 +585,9 @@ class Tensor:
         if out.requires_grad:
             inverse = np.argsort(axes)
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(out.grad.transpose(inverse))
+                    self._accumulate(grad.transpose(inverse))
 
             out._backward = _backward
         return out
@@ -569,11 +596,11 @@ class Tensor:
         out = self._make_output(self.data[index], (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    grad = np.zeros_like(self.data)
-                    np.add.at(grad, index, out.grad)
-                    self._accumulate(grad)
+                    full = np.zeros_like(self.data)
+                    np.add.at(full, index, grad)
+                    self._accumulate(full)
 
             out._backward = _backward
         return out
@@ -582,9 +609,9 @@ class Tensor:
         out = self._make_output(np.expand_dims(self.data, axis), (self,))
         if out.requires_grad:
 
-            def _backward():
+            def _backward(grad):
                 if self.requires_grad:
-                    self._accumulate(np.squeeze(out.grad, axis=axis))
+                    self._accumulate(np.squeeze(grad, axis=axis))
 
             out._backward = _backward
         return out
@@ -609,12 +636,12 @@ class Tensor:
             sizes = [t.shape[axis] for t in tensors]
             offsets = np.cumsum([0] + sizes)
 
-            def _backward():
+            def _backward(grad):
                 for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                     if tensor.requires_grad:
-                        slicer = [slice(None)] * out.grad.ndim
+                        slicer = [slice(None)] * grad.ndim
                         slicer[axis] = slice(start, stop)
-                        tensor._accumulate(out.grad[tuple(slicer)])
+                        tensor._accumulate(grad[tuple(slicer)])
 
             out._backward = _backward
         return out

@@ -149,7 +149,7 @@ class CellProfile:
         self.gauges = cell.gauges
         self.phases: Dict[str, PhaseStat] = {}
         self.clients: Dict[str, ClientStats] = {}
-        self.worker_busy_s: Dict[Tuple[int, int], float] = {}
+        self.worker_busy_s: Dict[int, float] = {}
         self.cell_duration_s = 0.0
         self.rounds = 0
         self._aggregate(cell)
@@ -175,9 +175,10 @@ class CellProfile:
                 else:
                     client_rounds.setdefault(span.name, {}).setdefault(
                         round_index, []).append(span.duration)
-                key = (span.pid, span.tid)
-                self.worker_busy_s[key] = (
-                    self.worker_busy_s.get(key, 0.0) + span.duration)
+                # A worker is the process that ran the span; tids only
+                # separate merged fragments into trace-viewer tracks.
+                self.worker_busy_s[span.pid] = (
+                    self.worker_busy_s.get(span.pid, 0.0) + span.duration)
         for name in set(client_rounds) | set(client_unrounded):
             self.clients[name] = ClientStats(
                 client_rounds.get(name, {}), client_unrounded.get(name, []))
@@ -249,9 +250,9 @@ def render_profile(cells: Sequence[Tuple[str, CellTelemetry]],
             busiest = sorted(profile.worker_busy_s.items(),
                              key=lambda item: -item[1])
             shown = busiest[:top] if top else busiest
-            for (pid, tid), busy in shown:
+            for pid, busy in shown:
                 utilization = min(1.0, busy / profile.cell_duration_s)
-                lines.append(f"  worker pid={pid} tid={tid}"
+                lines.append(f"  worker pid={pid}"
                              f" busy={_fmt_s(busy)}"
                              f" utilization={utilization:6.1%}")
         if profile.counters:

@@ -197,6 +197,35 @@ class TestMethodSpecificInvariants:
         assert algorithm.build_global_state() == {}
         update = algorithm.local_update(clients[0], {}, 0)
         assert update.state == {}
+        assert "loss" not in update.metrics  # no training, so no loss
+
+    def test_script_rounds_record_no_non_finite_losses(self):
+        import warnings
+
+        config = tiny_config()
+        dataset, clients = tiny_federation(config)
+        algorithm = build_method("script-fair", config, NUM_CLASSES, encoder_factory)
+        session = TrainingSession(algorithm, clients, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            session.run()
+        assert [r.metrics["non_finite_losses"] for r in session.round_records] == [0.0, 0.0]
+
+    def test_genuine_nan_loss_still_counted(self):
+        from repro.baselines.script import ScriptLocal
+
+        class NaNScript(ScriptLocal):
+            def local_update(self, client, global_state, round_index):
+                update = super().local_update(client, global_state, round_index)
+                update.metrics["loss"] = float("nan")
+                return update
+
+        config = tiny_config()
+        dataset, clients = tiny_federation(config)
+        session = TrainingSession(NaNScript(config, NUM_CLASSES), clients, config)
+        with pytest.warns(RuntimeWarning, match="non-finite"):
+            session.run()
+        assert [r.metrics["non_finite_losses"] for r in session.round_records] == [2.0, 2.0]
 
     def test_calibre_reports_divergence(self):
         config = tiny_config()
